@@ -25,11 +25,9 @@ from .field import (
     FieldMismatch,
     FieldSpec,
     ParseError,
-    arith,
     format_element,
     parse_element,
     parse_field,
-    pow_int,
     rational_nth_root,
 )
 from .kummer import KummerQuery, kummer_relative_degree, total_degree
@@ -41,7 +39,6 @@ from .roots import (
     is_strongly_indivisible,
     lth_roots,
     roots_of_unity,
-    torsion_exponent,
     unit_order,
 )
 from .scan import (
@@ -50,23 +47,22 @@ from .scan import (
     empirical_density,
     enumerate_slots,
     nonpower_certificate,
-    order_valuation,
     split_fraction,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "FieldSpec", "Element", "arith", "pow_int", "rational_nth_root",
+    "QQ", "FieldSpec", "Element", "rational_nth_root",
     "parse_field", "parse_element", "format_element",
     "FieldMismatch", "ParseError", "DomainError",
     "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",
-    "torsion_exponent", "unit_order", "is_root_of_unity", "is_strongly_indivisible",
+    "unit_order", "is_root_of_unity", "is_strongly_indivisible",
     "CycloProfile", "Tower", "cyclo_profile", "cyclotomic_degree", "special_case_flag",
     "KummerQuery", "kummer_relative_degree", "total_degree",
     "DensityValue", "density", "density_closed", "density_series",
     "analyze", "shape_check", "ShapeReport", "InvariantError", "ShapeViolation",
-    "PrimeSlot", "ScanReport", "enumerate_slots", "order_valuation",
+    "PrimeSlot", "ScanReport", "enumerate_slots",
     "empirical_density", "split_fraction", "nonpower_certificate",
     "__version__",
 ]

@@ -164,26 +164,6 @@ class Element:
         return format_element(self)
 
 
-def arith(lhs: Element, rhs: Element, op: str) -> Element:
-    """Dispatch one of add/sub/mul/div on two elements of the same field."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise DomainError(f"unknown operation {op!r}")
-
-
-def pow_int(e: Element, k: int) -> Element:
-    """Exact e**k by square-and-multiply, k >= 0."""
-    if k < 0:
-        raise DomainError("pow_int needs a nonnegative exponent")
-    return e ** k
-
-
 def _int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2:

@@ -22,32 +22,20 @@ from .ratroots import rational_roots_monic
 _MAX_DEPTH = 64
 
 
+@lru_cache(maxsize=256)
 def unit_orders(field: FieldSpec) -> dict[Element, int]:
-    """All roots of unity of the field, mapped to their multiplicative orders."""
-    one = Element(field, 1)
-    units = {one: 1, -one: 2}
-    if field.d == -1:
-        i = Element(field, 0, 1)
-        units[i] = 4
-        units[-i] = 4
-    if field.d == -3:
-        z = Element(field, Fraction(-1, 2), Fraction(1, 2))
-        units[z] = 3
-        units[z * z] = 3
-        units[-z] = 6
-        units[-(z * z)] = 6
-    return units
+    """All roots of unity of the field, mapped to their multiplicative orders.
 
-
-def _canonical_units(field: FieldSpec) -> list[Element]:
+    Keys come in canonical order, which fixes decompose's tie-break.
+    """
     one = Element(field, 1)
     if field.d == -1:
         i = Element(field, 0, 1)
-        return [one, -one, i, -i]
+        return {one: 1, -one: 2, i: 4, -i: 4}
     if field.d == -3:
         z = Element(field, Fraction(-1, 2), Fraction(1, 2))
-        return [one, z, z * z, -one, -z, -(z * z)]
-    return [one, -one]
+        return {one: 1, z: 3, z * z: 3, -one: 2, -z: 6, -(z * z): 6}
+    return {one: 1, -one: 2}
 
 
 def is_root_of_unity(e: Element) -> bool:
@@ -63,28 +51,13 @@ def unit_order(e: Element) -> int:
 
 def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
     """The l-power-order roots of unity of the field, in canonical order."""
-    orders = unit_orders(field)
     out = []
-    for u in _canonical_units(field):
-        o = orders[u]
+    for u, o in unit_orders(field).items():
         while o % ell == 0:
             o //= ell
         if o == 1:
             out.append(u)
     return out
-
-
-def torsion_exponent(field: FieldSpec, ell: int) -> int:
-    """Greatest t such that the field contains a root of unity of order ell**t."""
-    best = 0
-    for u in roots_of_unity(field, ell):
-        o = unit_orders(field)[u]
-        t = 0
-        while o > 1:
-            o //= ell
-            t += 1
-        best = max(best, t)
-    return best
 
 
 def _power_sum_poly(ell: int, eta: Fraction) -> list[Fraction]:

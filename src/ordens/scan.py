@@ -3,19 +3,16 @@
 Primes are enumerated as slots: one slot per degree-one prime (split
 rational primes contribute two, one per square root of d mod p) and one
 per inert prime entering at norm p**2.  Reduction of an element into the
-residue field is coordinate-wise; inert slots live in F_p[T]/(T**2 - d)
-with hand-rolled pair arithmetic.  A scan condenses each slot into the
-pair (v, k) = (l-valuation of q - 1, l-valuation of the reduced element's
-order), from which both the valuation histogram and complete-splitting
-fractions are read off.  Scans are deterministic and chunk-parallel: the
-merged histogram is identical for any worker count.
+residue field is coordinate-wise; inert slots at odd p live in
+F_p[T]/(T**2 - d) with hand-rolled pair arithmetic.  A scan condenses each
+slot into the pair (v, k) = (l-valuation of q - 1, l-valuation of the
+reduced element's order), from which both the valuation histogram and
+complete-splitting fractions are read off.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,6 +158,13 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
         return v, k
     c0 = xn * pow(xd, -1, p) % p
     c1 = yn * pow(yd, -1, p) % p
+    if p == 2:
+        # 2 is inert only for d = 5 mod 8.  The residue field is then
+        # O/2O = F_4, not F_2[T]/(T**2 - d): sqrt(d) = 2*omega - 1 reduces
+        # to 1, so every unit reduces to 1 and has order 1.
+        if (c0 + c1) % 2 == 0:
+            raise DomainError("reduction mod 2 is not a unit")
+        return _valuation(3, ell), 0
     if c0 == 0 and c1 == 0:
         raise DomainError(f"reduction mod {p} is not a unit")
     q = p * p
@@ -174,14 +178,6 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
     return v, k
 
 
-def order_valuation(a: Element, slot: PrimeSlot, ell: int) -> int:
-    """l-adic valuation of the multiplicative order of a at this slot."""
-    _, k = _slot_vk(a.x.numerator, a.x.denominator,
-                    a.y.numerator, a.y.denominator,
-                    a.field.d or 0, slot, ell)
-    return k
-
-
 def _bad_modulus(a: Element, ell: int) -> int:
     """Product sweeping up every prime where reduction could misbehave."""
     den = lcm(a.x.denominator, a.y.denominator)
@@ -193,72 +189,36 @@ def _bad_modulus(a: Element, ell: int) -> int:
     return ell * abs(a.field.discriminant) * den * abs(nrm)
 
 
-def _vk_chunk(args: tuple) -> Counter:
-    xn, xd, yn, yd, d, ell, slots = args
-    out: Counter = Counter()
-    for slot in slots:
-        out[_slot_vk(xn, xd, yn, yd, d, slot, ell)] += 1
-    return out
-
-
-def _workers_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("ORDENS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _scan_vk(field: FieldSpec, a: Element, ell: int, bound: int,
-             workers: int | None = None) -> tuple[Counter, int, tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int, ...]]:
     """(v, k) counts over all good slots, plus counted and excluded primes."""
     bad = _bad_modulus(a, ell)
     excluded = tuple(p for p in sieve_primes(bound) if bad % p == 0)
     excl = frozenset(excluded)
-    slots = [s for s in _field_slots(field, bound) if s.p not in excl]
-    coords = (a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator,
-              field.d or 0)
-    workers = _workers_from_env() if workers is None else max(1, workers)
-    if workers == 1 or len(slots) < 1000:
-        counts = _vk_chunk((*coords, ell, slots))
-    else:
-        step = -(-len(slots) // workers)
-        chunks = [slots[i : i + step] for i in range(0, len(slots), step)]
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_vk_chunk, [(*coords, ell, c) for c in chunks]):
-                counts.update(part)
+    slots = [s for s in _field_slots(a.field, bound) if s.p not in excl]
+    if not slots:
+        raise DomainError(f"no prime of norm <= {bound} is counted for {a}")
+    xn, xd, yn, yd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
+    d = a.field.d or 0
+    counts: Counter = Counter()
+    for slot in slots:
+        counts[_slot_vk(xn, xd, yn, yd, d, slot, ell)] += 1
     return counts, len(slots), excluded
 
 
-_VK_CACHE: dict[tuple, tuple[Counter, int, tuple[int, ...]]] = {}
-
-
-def _scan_vk_cached(field: FieldSpec, a: Element, ell: int, bound: int):
-    key = (field, a, ell, bound)
-    if key not in _VK_CACHE:
-        _VK_CACHE[key] = _scan_vk(field, a, ell, bound)
-    return _VK_CACHE[key]
-
-
-def empirical_density(a: Element, ell: int, bound: int = 10 ** 5,
-                      workers: int | None = None) -> ScanReport:
+def empirical_density(a: Element, ell: int, bound: int = 10 ** 5) -> ScanReport:
     """Histogram the order valuations of a over all primes of norm <= bound."""
     if a.is_zero:
         raise DomainError("cannot scan the zero element")
-    field = a.field
-    if workers is None:
-        counts, counted, excluded = _scan_vk_cached(field, a, ell, bound)
-    else:
-        counts, counted, excluded = _scan_vk(field, a, ell, bound, workers)
+    counts, counted, excluded = _scan_vk(a, ell, bound)
     histogram: dict[int, int] = {}
     for (_, k), c in counts.items():
         histogram[k] = histogram.get(k, 0) + c
-    top = max(histogram) if histogram else 0
+    top = max(histogram)
     empirical = {n: Fraction(histogram.get(n, 0), counted) for n in range(top + 1)}
     exact = {n: density(a, ell, n).value for n in range(top + 1)}
-    err = max((abs(empirical[n] - exact[n]) for n in range(top + 1)),
-              default=Fraction(0))
-    return ScanReport(field, a, ell, bound, counted, excluded,
+    err = max(abs(empirical[n] - exact[n]) for n in range(top + 1))
+    return ScanReport(a.field, a, ell, bound, counted, excluded,
                       dict(sorted(histogram.items())), empirical, exact, err)
 
 
@@ -276,7 +236,7 @@ def split_fraction(a: Element, ell: int, m: int, n: int,
         raise DomainError(f"need 0 <= n <= m, got n={n}, m={m}")
     if a.is_zero:
         raise DomainError("cannot scan the zero element")
-    counts, counted, _ = _scan_vk_cached(a.field, a, ell, bound)
+    counts, counted, _ = _scan_vk(a, ell, bound)
     hits = sum(c for (v, k), c in counts.items()
                if v >= m and k <= v - min(n, v))
     return Fraction(hits, counted)
@@ -292,12 +252,14 @@ def nonpower_certificate(c: Element, ell: int, bound: int = 10 ** 4) -> PrimeSlo
     density), so this doubles as an independent counterexample record.
     """
     bad = _bad_modulus(c, ell)
+    coords = (c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator,
+              c.field.d or 0)
     for slot in _field_slots(c.field, bound):
         p = slot.p
         if slot.kind != "split" or bad % p == 0 or (p - 1) % ell != 0:
             continue
-        red = (c.x.numerator * pow(c.x.denominator, -1, p)
-               + c.y.numerator * pow(c.y.denominator, -1, p) * (slot.sqrt_d or 0)) % p
-        if pow(red, (p - 1) // ell, p) != 1:
+        # F_p^x is cyclic, so the reduction is an l-th power iff k < v
+        v, k = _slot_vk(*coords, slot, ell)
+        if k == v:
             return slot
     return None

@@ -123,11 +123,6 @@ def table_rows(which: int) -> list[Row]:
     return rows
 
 
-def entry_count(which: int) -> int:
-    """Entries as printed: +/- pairs and field-pair columns count once."""
-    return {1: len(table_rows(1)), 2: 12, 3: 18, 4: 24}[which]
-
-
 def check_table(which: int) -> tuple[list[tuple[Row, Fraction]], list[Diff]]:
     """Recompute every row; returns (all results, mismatches)."""
     results = []

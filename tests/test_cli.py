@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ordens
 from ordens.cli import main
 
 
@@ -131,6 +136,18 @@ class TestExitCodes:
     def test_non_prime_ell_is_3(self):
         code, _ = run(["density", "--ell", "4", "--field", "Q", "--a", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize("bound", ["1", "2"])
+    def test_scan_without_counted_slots_is_3(self, bound):
+        # 2 is excluded (it divides l*a), so no prime is left to count
+        src = str(Path(ordens.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordens.cli", "scan", "--ell", "2", "--field", "Q",
+             "--a", "2", "--bound", bound],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

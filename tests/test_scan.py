@@ -11,14 +11,16 @@ from ordens import (
     DomainError,
     Element,
     FieldSpec,
+    KummerQuery,
+    analyze,
     empirical_density,
     enumerate_slots,
     lth_roots,
     nonpower_certificate,
-    order_valuation,
     split_fraction,
+    total_degree,
 )
-from ordens.scan import PrimeSlot, _scan_vk, sieve_primes
+from ordens.scan import PrimeSlot, _slot_vk, sieve_primes
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -26,6 +28,15 @@ RT3 = FieldSpec(3)
 
 def elem(field, x, y=0):
     return Element(field, Fraction(x), Fraction(y))
+
+
+def slot_vk(a, slot, ell):
+    return _slot_vk(a.x.numerator, a.x.denominator, a.y.numerator,
+                    a.y.denominator, a.field.d or 0, slot, ell)
+
+
+def order_valuation(a, slot, ell):
+    return slot_vk(a, slot, ell)[1]
 
 
 class TestEnumerate:
@@ -96,6 +107,18 @@ class TestOrderValuation:
         slot = PrimeSlot(3, "inert", 9, None)
         assert order_valuation(elem(GAUSS, 0, 1), slot, 2) == 2
 
+    def test_inert_two_reduces_into_f4(self):
+        # 2 is inert in Q(sqrt -3); sqrt(-3) reduces to 1 in F_4
+        slot = PrimeSlot(2, "inert", 4, None)
+        a = elem(FieldSpec(-3), 0, 1)
+        assert slot_vk(a, slot, 2) == (0, 0)
+        assert slot_vk(a, slot, 3) == (1, 0)
+
+    def test_inert_two_nonunit_rejected(self):
+        # 1 + sqrt(-3) = 2*omega lies in the prime above 2
+        with pytest.raises(DomainError):
+            slot_vk(elem(FieldSpec(-3), 1, 1), PrimeSlot(2, "inert", 4, None), 3)
+
     def test_nonunit_reduction_rejected(self):
         with pytest.raises(DomainError):
             order_valuation(elem(QQ, 7), PrimeSlot(7, "split", 7, None), 2)
@@ -115,12 +138,6 @@ class TestEmpiricalDensity:
         rep = empirical_density(elem(QQ, 2), 2, 10 ** 4)
         assert rep.max_abs_error < Fraction(1, 50)
 
-    def test_worker_count_does_not_change_the_histogram(self):
-        a = elem(RT3, 2)
-        seq = _scan_vk(RT3, a, 2, 20000, workers=1)
-        par = _scan_vk(RT3, a, 2, 20000, workers=3)
-        assert seq == par
-
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             empirical_density(elem(QQ, 0), 2, 100)
@@ -134,6 +151,20 @@ class TestSplitFraction:
     def test_nested_levels_need_n_le_m(self):
         with pytest.raises(DomainError):
             split_fraction(elem(QQ, 2), 2, 1, 2, 1000)
+
+    def test_no_counted_slot_rejected(self):
+        with pytest.raises(DomainError):
+            split_fraction(elem(QQ, 2), 2, 1, 0, 2)
+
+    @pytest.mark.parametrize("d", [-3, 5])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+    def test_odd_ell_with_inert_two(self, d, m, n):
+        # sqrt(d) is a unit at the inert prime 2 of Q(sqrt d), d = 5 mod 8
+        a = elem(FieldSpec(d), 0, 1)
+        dec, prof, special = analyze(a, 3)
+        degree = total_degree(KummerQuery(3, m, n, dec, prof, special))
+        frac = split_fraction(a, 3, m, n, 10 ** 5)
+        assert abs(frac - Fraction(1, degree)) < Fraction(1, 100)
 
 
 class TestNonpowerCertificate:
