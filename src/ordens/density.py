@@ -1,9 +1,12 @@
 """Exact densities of primes by the l-adic valuation of an element's order.
 
-density_closed evaluates the closed forms; density reduces a prescribed
-valuation n >= 1 to two closed evaluations via
-D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0); density_series re-derives
-D(a, 0) independently by summing
+Every density here is a function of the normal form a = b**(l**d) * xi
+(depth d, unit level r, halving flag of b) and the tower profile alone.
+density_closed evaluates the closed forms on that data; density reduces a
+prescribed valuation n >= 1 to two closed evaluations via
+D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
+a**(l**k) is a's own shifted by k (Decomposition.raised), so no power of a
+is built; density_series re-derives D(a, 0) independently by summing
 
     sum_{i>=0} ( 1/[K(zeta_{l^i}, a**(1/l**i)) : K]
                  - 1/[K(zeta_{l^{i+1}}, a**(1/l**i)) : K] )
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import cyclo_profile, cyclotomic_degree, special_case_flag
+from .cyclo import CycloProfile, cyclo_profile, cyclotomic_degree, special_case_flag
 from .field import DomainError, Element
 from .kummer import KummerQuery, total_degree
 from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
@@ -73,10 +76,16 @@ def density_closed(a: Element, ell: int) -> DensityValue:
     """D(a) = density of primes where the order of a is coprime to l."""
     if a.is_zero:
         raise DomainError("density of zero is undefined")
-    if is_root_of_unity(a):
-        value = Fraction(1) if unit_order(a) % ell else Fraction(0)
-        return DensityValue(value, "closed_form", "torsion", (("order", unit_order(a)),))
-    dec, prof, special = analyze(a, ell)
+    return _closed(*analyze(a, ell))
+
+
+def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityValue:
+    """The closed form of D(a) from a's normal form, profile and halving flag."""
+    ell = dec.ell
+    if dec.case is Case.ROOT_OF_UNITY:
+        order = unit_order(dec.unit)
+        value = Fraction(1) if order % ell else Fraction(0)
+        return DensityValue(value, "closed_form", "torsion", (("order", order),))
     d, r, t = dec.depth, dec.unit_level, prof.stall
     ellf = Fraction(ell)
 
@@ -122,18 +131,33 @@ def density_closed(a: Element, ell: int) -> DensityValue:
         check = eps / 12 * Fraction(2) ** (s - d)
     if value != check:
         raise InvariantError(
-            f"negated-power forms disagree for {a}: {value} vs {check}")
+            f"negated-power forms disagree for -b**(2**{d}) with b = {dec.base}: "
+            f"{value} vs {check}")
     return DensityValue(value, "closed_form", "zeta4-absent/negative", params)
 
 
+# D(a, n) has a denominator of about n*log2(l) bits, and Python refuses to
+# print an int of more than 4,300 digits (about 14,000 bits).  Capping
+# n * l.bit_length() at 10,000 keeps every accepted value printable, with
+# room for the depth and the small factors the closed forms add.
+MAX_VALUATION_BITS = 10_000
+
+
 def density(a: Element, ell: int, n: int = 0) -> DensityValue:
-    """D(a, n) = density of primes where the order of a has l-valuation n."""
+    """D(a, n) = density of primes where the order of a has l-valuation n.
+
+    n * ell.bit_length() may not exceed MAX_VALUATION_BITS.
+    """
     if n < 0:
         raise DomainError("valuation must be nonnegative")
+    if n * ell.bit_length() > MAX_VALUATION_BITS:
+        raise DomainError(f"valuation {n} too large for l = {ell}: need "
+                          f"n * {ell.bit_length()} <= {MAX_VALUATION_BITS}")
     if n == 0:
         return density_closed(a, ell)
-    hi = density_closed(a ** ell ** n, ell)
-    lo = density_closed(a ** ell ** (n - 1), ell)
+    dec, prof, special = analyze(a, ell)
+    hi = _closed(dec.raised(n), prof, special)
+    lo = _closed(dec.raised(n - 1), prof, special)
     return DensityValue(hi.value - lo.value, "closed_form", "valuation-difference",
                         (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
 

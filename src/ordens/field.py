@@ -238,14 +238,39 @@ def _tokenize(text: str) -> list[str]:
             if text[pos:].strip():
                 raise ParseError(f"bad character in element at {text[pos:]!r}")
             break
+        if len(m.group(1)) > _MAX_DIGITS:
+            raise DomainError(f"a {len(m.group(1))}-digit number in element text is "
+                              f"over the limit of {MAX_COORDINATE_BITS} bits")
         out.append(m.group(1))
         pos = m.end()
     return out
 
 
+# Parsed elements keep every numerator and denominator within this many bits
+# (about 1,230 digits): far above any table or test input, small enough that
+# decompose stays fast and every coordinate prints under Python's 4,300-digit
+# int-to-str limit.
+MAX_COORDINATE_BITS = 4096
+_MAX_DIGITS = len(str(1 << MAX_COORDINATE_BITS))
+
+
+def _coordinate_bits(e: Element) -> int:
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in (e.x, e.y))
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if bits > MAX_COORDINATE_BITS:
+        raise DomainError(f"{what} needs {bits} bits per coordinate, "
+                          f"over the limit of {MAX_COORDINATE_BITS}")
+
+
 class _ElementParser:
     """element := term ('*' term)* ; term := atom ('^' uint)? ;
     atom := 'i' | 'zeta3' | rat | rat sign rat*sqrt(D) | [sign] rat*sqrt(D)
+
+    Every term and product is held to MAX_COORDINATE_BITS; a power is
+    refused before it is built when the exponent times the atom's largest
+    coordinate bit length is over that limit.
     """
 
     def __init__(self, tokens: list[str], field: FieldSpec):
@@ -274,6 +299,7 @@ class _ElementParser:
         while self.peek() == "*":
             self.next()
             e = e * self.term()
+            _check_bits(_coordinate_bits(e), "the product")
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.toks[self.pos:]!r}")
         return e
@@ -282,7 +308,10 @@ class _ElementParser:
         a = self.atom()
         if self.peek() == "^":
             self.next()
-            a = a ** self.uint()
+            k = self.uint()
+            _check_bits(k * _coordinate_bits(a), f"a power to the exponent {k}")
+            a = a ** k
+        _check_bits(_coordinate_bits(a), "a term")
         return a
 
     def uint(self) -> int:

@@ -11,7 +11,7 @@ candidate is verified by exact exponentiation before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -117,21 +117,38 @@ class Decomposition:
     """Normal form element == base ** (ell ** depth) * unit.
 
     base is strongly indivisible, unit is a root of unity of order
-    ell ** unit_level, and depth is maximal over all unit choices.  For
-    root-of-unity inputs base and unit are None.
+    ell ** unit_level, and depth is maximal over all unit choices.  For a
+    root-of-unity input base is None and unit is the input itself.  The
+    element is not stored: raised(k) derives the normal form of its
+    ell**k-th power from these fields alone.
     """
 
     ell: int
-    element: Element
     case: Case
     depth: int
     base: Element | None
-    unit: Element | None
+    unit: Element
     unit_level: int
+
+    def raised(self, k: int) -> Decomposition:
+        """Normal form of element ** (ell ** k), without building that power.
+
+        The base (and so the halving flag) is unchanged; the depth grows by
+        k, and the unit becomes unit ** (ell ** k), of level
+        max(0, unit_level - k).
+        """
+        if k < 0:
+            raise DomainError(f"raised needs k >= 0, got {k}")
+        if self.case is Case.ROOT_OF_UNITY:
+            return replace(self, unit=self.unit ** pow(self.ell, k, unit_order(self.unit)))
+        level = max(0, self.unit_level - k)
+        return replace(self, case=Case.POWER if level == 0 else self.case,
+                       depth=self.depth + k, unit_level=level,
+                       unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
 
     def recompose(self) -> Element:
         if self.case is Case.ROOT_OF_UNITY:
-            return self.element
+            return self.unit
         return self.base ** (self.ell ** self.depth) * self.unit
 
 
@@ -150,7 +167,7 @@ def decompose(a: Element, ell: int) -> Decomposition:
     if a.is_zero:
         raise DomainError("cannot decompose zero")
     if is_root_of_unity(a):
-        return Decomposition(ell, a, Case.ROOT_OF_UNITY, 0, None, None, 0)
+        return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
     orders = unit_orders(a.field)
     level: dict[Element, set[Element]] = {xi: {a / xi} for xi in mu}
@@ -178,7 +195,7 @@ def decompose(a: Element, ell: int) -> Decomposition:
         o //= ell
         r += 1
     case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
-    dec = Decomposition(ell, a, case, depth, base, xi, r)
+    dec = Decomposition(ell, case, depth, base, xi, r)
     if dec.recompose() != a:
         raise RuntimeError(f"decomposition round-trip failed for {a}")
     return dec

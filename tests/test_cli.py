@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,46 @@ class TestDensityCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "field,a,ell,n,exact,empirical,abs_error"
         assert lines[1] == "Q,3,2,0,1/3,,"
+
+
+def run_subprocess(argv, budget):
+    """Run the CLI in a fresh interpreter within budget seconds; return (code, stderr)."""
+    src = str(Path(ordens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ordens.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget, f"{argv} took {elapsed:.2f}s"
+    return proc.returncode, proc.stderr
+
+
+class TestLargeInputs:
+    def test_high_valuation_is_fast(self):
+        start = time.perf_counter()
+        code, out = run(["density", "--ell", "2", "--field", "Q", "--a", "3", "--val", "30"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.strip() == "1/1610612736"
+
+    def test_valuation_1000_is_exact(self):
+        code, out = run(["density", "--ell", "2", "--field", "Q", "--a", "3", "--val", "1000"])
+        assert code == 0 and Fraction(out.strip()) == Fraction(1, 3 * 2 ** 999)
+
+    @pytest.mark.parametrize("val", ["100000", "1000000000"])
+    def test_valuation_over_the_budget_is_3(self, val):
+        code, err = run_subprocess(["density", "--ell", "2", "--field", "Q", "--a", "3",
+                                    "--val", val], budget=1.0)
+        assert code == 3
+        assert "Traceback" not in err and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ell", "2", "--field", "Q", "--a", "2^100000000"],
+        ["decompose", "--ell", "3", "--field", "Q", "--a", "7^9001"],
+    ])
+    def test_oversized_element_text_is_3(self, argv):
+        code, err = run_subprocess(argv, budget=2.0)
+        assert code == 3
+        assert "Traceback" not in err and err.startswith("error:")
 
 
 class TestKummerCommand:

@@ -18,6 +18,7 @@ from ordens import (
     parse_field,
     shape_check,
 )
+from ordens.density import MAX_VALUATION_BITS
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -86,6 +87,14 @@ class TestValuationReduction:
         assert density(elem(QQ, -1), 2, 0).value == 0
         assert density(elem(QQ, -1), 2, 1).value == 1
         assert density(elem(QQ, -1), 2, 2).value == 0
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 31])
+    def test_valuation_budget(self, ell):
+        top = MAX_VALUATION_BITS // ell.bit_length()
+        for a in (elem(QQ, 2), elem(QQ, -ell ** 3)):
+            assert len(str(density(a, ell, top).value)) < 4300  # prints
+            with pytest.raises(DomainError):
+                density(a, ell, top + 1)
 
 
 class TestSeries:

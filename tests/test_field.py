@@ -209,6 +209,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_element("2**3", QQ)
 
+    def test_coordinate_bit_limit(self):
+        # 2 has bit length 2, so the exponent estimate allows 2^2048 and no more
+        assert parse_element("2^2048", QQ) == elem(QQ, 2 ** 2048)
+        with pytest.raises(DomainError):
+            parse_element("2^2049", QQ)
+        with pytest.raises(DomainError):
+            parse_element("2^100000000", QQ)
+        with pytest.raises(DomainError):  # each factor fits, the product does not
+            parse_element("3^2000*3^2000", QQ)
+        with pytest.raises(DomainError):  # the estimate passes, the power does not
+            parse_element("1+1*sqrt(3)^4000", RT3)
+        with pytest.raises(DomainError):
+            parse_element("9" * 5000, QQ)
+
     def test_format_round_trip(self):
         rng = random.Random(7)
         for field in (QQ, GAUSS, RT2, FieldSpec(-3)):

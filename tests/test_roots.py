@@ -144,6 +144,29 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(elem(QQ, 0), 2)
 
+    def test_raised_absorbs_the_unit(self):
+        # 4 = (1+i)**4 * (-1) in Q(i); 16 = (1+i)**8 is a plain power
+        dec = decompose(elem(GAUSS, 4), 2)
+        up = dec.raised(1)
+        assert (up.case, up.depth, up.unit_level) == (Case.POWER, 3, 0)
+        assert up.base == dec.base and up.unit == elem(GAUSS, 1)
+        assert up.recompose() == elem(GAUSS, 16)
+        assert dec.raised(0) == dec
+
+    def test_raised_keeps_a_unit_of_higher_level(self):
+        # 4i = (1+i)**4 * (-i) in Q(i): the unit of order 4 survives one step
+        up = decompose(elem(GAUSS, 0, 4), 2).raised(1)
+        assert (up.case, up.depth, up.unit_level) == (Case.POWER_TIMES_UNIT, 3, 1)
+        assert up.recompose() == elem(GAUSS, -16)
+
+    def test_raised_root_of_unity(self):
+        z = elem(EISEN, Fraction(-1, 2), Fraction(1, 2))
+        dec = decompose(z, 2)
+        assert dec.unit == z and dec.recompose() == z
+        assert dec.raised(1).unit == z * z
+        assert dec.raised(2).unit == z
+        assert decompose(elem(GAUSS, 0, 1), 2).raised(2).unit == elem(GAUSS, 1)
+
     def test_round_trip_and_base_strongly_indivisible(self, corpus):
         for a, ell in corpus[::7]:
             dec = decompose(a, ell)
