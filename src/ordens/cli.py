@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import tables
 from .cyclo import cyclo_profile
@@ -29,15 +30,17 @@ def _approx(q: Fraction) -> str:
     return f"{q.numerator / q.denominator:.6f}"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+# --ell takes primes of at most this many bits, so that trial division in
+# _check_ell stays under a millisecond.
+MAX_ELL_BITS = 20
+
+
+def _check_ell(ell: int) -> None:
+    if ell.bit_length() > MAX_ELL_BITS:
+        raise DomainError(f"--ell must be below 2**{MAX_ELL_BITS}, got a "
+                          f"{ell.bit_length()}-bit number")
+    if ell < 2 or any(ell % f == 0 for f in range(2, isqrt(ell) + 1)):
+        raise DomainError(f"--ell must be prime, got {ell}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,10 +270,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "ell", None) is not None and not _is_prime(args.ell):
-        print(f"error: --ell must be prime, got {args.ell}", file=sys.stderr)
-        return 3
     try:
+        if getattr(args, "ell", None) is not None:
+            _check_ell(args.ell)
         return _DISPATCH[args.command](args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .cyclo import CycloProfile, cyclo_profile, cyclotomic_degree, special_case_flag
 from .field import DomainError, Element
-from .kummer import KummerQuery, total_degree
+from .kummer import MAX_VALUATION_BITS, KummerQuery, total_degree
 from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
 
 
@@ -134,13 +134,6 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
             f"negated-power forms disagree for -b**(2**{d}) with b = {dec.base}: "
             f"{value} vs {check}")
     return DensityValue(value, "closed_form", "zeta4-absent/negative", params)
-
-
-# D(a, n) has a denominator of about n*log2(l) bits, and Python refuses to
-# print an int of more than 4,300 digits (about 14,000 bits).  Capping
-# n * l.bit_length() at 10,000 keeps every accepted value printable, with
-# room for the depth and the small factors the closed forms add.
-MAX_VALUATION_BITS = 10_000
 
 
 def density(a: Element, ell: int, n: int = 0) -> DensityValue:

@@ -39,6 +39,11 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+# Fields Q(sqrt d) need |d| < 2**MAX_D_BITS, so that the trial division in
+# is_squarefree takes at most about 20 ms.
+MAX_D_BITS = 32
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Q when d is None, else Q(sqrt(d)) for a squarefree integer d."""
@@ -46,6 +51,8 @@ class FieldSpec:
     d: int | None = None
 
     def __post_init__(self) -> None:
+        if self.d is not None and self.d.bit_length() > MAX_D_BITS:
+            raise DomainError(f"need |d| < 2**{MAX_D_BITS}, got a {self.d.bit_length()}-bit d")
         if self.d is not None and (self.d in (0, 1) or not is_squarefree(self.d)):
             raise DomainError(f"need squarefree d outside {{0, 1}}, got {self.d}")
 
@@ -223,6 +230,9 @@ def parse_field(text: str) -> FieldSpec:
         raise ParseError(f"cannot parse field {text!r} (expected Q or Q(sqrt D))")
     if m.group(1) is None:
         return QQ
+    digits = m.group(1).lstrip("-0")
+    if len(digits) > len(str(1 << MAX_D_BITS)):  # refused before int() reads it
+        raise DomainError(f"need |d| < 2**{MAX_D_BITS}, got a {len(digits)}-digit d")
     return FieldSpec(int(m.group(1)))
 
 

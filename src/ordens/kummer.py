@@ -20,6 +20,14 @@ from .cyclo import CycloProfile, cyclotomic_degree
 from .field import DomainError
 from .roots import Case, Decomposition
 
+# D(a, n) has a denominator of about n*log2(l) bits, and Python refuses to
+# print an int of more than 4,300 digits (about 14,000 bits).  Capping
+# n * l.bit_length() at 10,000 keeps every accepted value printable, with
+# room for the depth and the small factors the closed forms add.  A Kummer
+# query is held to (m + n) * l.bit_length() <= 10,000, since its total
+# degree is below l**m * l**n.
+MAX_VALUATION_BITS = 10_000
+
 
 @dataclass(frozen=True)
 class KummerQuery:
@@ -35,6 +43,9 @@ class KummerQuery:
             raise DomainError("cyclotomic level m must be >= 1")
         if not 0 <= self.n <= self.m:
             raise DomainError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
+        if (self.m + self.n) * self.ell.bit_length() > MAX_VALUATION_BITS:
+            raise DomainError(f"levels m={self.m}, n={self.n} too large for l = {self.ell}: "
+                              f"need (m + n) * {self.ell.bit_length()} <= {MAX_VALUATION_BITS}")
 
 
 def kummer_relative_degree(q: KummerQuery) -> int:

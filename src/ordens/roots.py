@@ -21,6 +21,11 @@ from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
 
+# Largest l for which lth_roots works over a quadratic field.  The resolvent
+# has degree l; at MAX_COORDINATE_BITS, one with no root takes about 2.3 s
+# to search at l = 61 and 5 s at l = 101.
+MAX_RESOLVENT_DEGREE = 61
+
 
 @lru_cache(maxsize=256)
 def unit_orders(field: FieldSpec) -> dict[Element, int]:
@@ -78,6 +83,9 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
     field = c.field
     if field.is_rational:
         return {Element(field, r) for r in rational_nth_root(c.x, ell)}
+    if ell > MAX_RESOLVENT_DEGREE:
+        raise DomainError(f"l-th roots over {field} need l <= {MAX_RESOLVENT_DEGREE}, "
+                          f"got {ell}")
     roots: set[Element] = set()
     trace_c = c.trace()
     d = field.d

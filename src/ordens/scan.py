@@ -46,8 +46,14 @@ class ScanReport:
     max_abs_error: Fraction
 
 
+# Largest norm bound of a scan: the sieve holds bound + 1 bytes.
+MAX_BOUND = 10 ** 7
+
+
 @lru_cache(maxsize=8)
 def sieve_primes(bound: int) -> tuple[int, ...]:
+    if bound > MAX_BOUND:
+        raise DomainError(f"norm bound {bound} is over the limit of {MAX_BOUND}")
     if bound < 2:
         return ()
     flags = bytearray([1]) * (bound + 1)

@@ -48,8 +48,8 @@ class TestDensityCommand:
         assert lines[1] == "Q,3,2,0,1/3,,"
 
 
-def run_subprocess(argv, budget):
-    """Run the CLI in a fresh interpreter within budget seconds; return (code, stderr)."""
+def run_process(argv, budget):
+    """Run the CLI in a fresh interpreter and check it finished within budget seconds."""
     src = str(Path(ordens.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     start = time.perf_counter()
@@ -57,6 +57,12 @@ def run_subprocess(argv, budget):
                           capture_output=True, text=True, env=env, timeout=60)
     elapsed = time.perf_counter() - start
     assert elapsed < budget, f"{argv} took {elapsed:.2f}s"
+    return proc
+
+
+def run_subprocess(argv, budget):
+    """run_process, returning (code, stderr)."""
+    proc = run_process(argv, budget)
     return proc.returncode, proc.stderr
 
 
@@ -86,6 +92,52 @@ class TestLargeInputs:
         code, err = run_subprocess(argv, budget=2.0)
         assert code == 3
         assert "Traceback" not in err and err.startswith("error:")
+
+
+class TestLimits:
+    """Each documented limit answers exit 3 at once, with no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ell", "67", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"],
+        ["density", "--ell", "211", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"],
+        ["density", "--ell", "1000000000000000003", "--field", "Q", "--a", "3"],
+        ["density", "--ell", "3", "--field", "Q(sqrt 1000000000000000003)", "--a", "3"],
+        ["density", "--ell", "3", "--field", f"Q(sqrt {'7' * 5000})", "--a", "3"],
+        ["kummer", "--ell", "2", "--field", "Q", "--a", "3", "--m", "100000", "--n", "100000"],
+        ["kummer", "--ell", "2", "--field", "Q", "--a", "3", "--m", "1000000000", "--n", "1"],
+        ["scan", "--ell", "3", "--field", "Q", "--a", "2", "--bound", "10000001"],
+    ], ids=["ell67", "ell211", "ell60bits", "d60bits", "d5000digits", "kummer_mn",
+            "kummer_m", "bound"])
+    def test_over_the_limit_is_3(self, argv):
+        code, err = run_subprocess(argv, budget=1.0)
+        assert code == 3
+        assert "Traceback" not in err and err.startswith("error:")
+
+    def test_largest_resolvent_degree_answers(self):
+        code, out = run(["density", "--ell", "61", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"])
+        assert code == 0 and Fraction(out.strip()) > 0
+
+
+class TestRootSearchSpeed:
+    """Resolvent root searches near the coordinate limit (subprocess, wall time)."""
+
+    def _decompose(self, ell, field, a, budget):
+        proc = run_process(["decompose", "--ell", str(ell), "--field", field, f"--a={a}"],
+                           budget)
+        assert proc.returncode == 0, proc.stderr
+        fields = dict(item.split("=", 1) for item in proc.stdout.split())
+        spec = ordens.parse_field(field)
+        assert fields["case"] == "power" and fields["d"] == "1"
+        assert ordens.parse_element(fields["b"], spec) ** ell == ordens.parse_element(a, spec)
+
+    def test_thirty_first_power(self):
+        self._decompose(31, "Q(sqrt 2)",
+                        "1361129467683753853853498429727072845825"
+                        "+680564733841876926926749214863536422915*sqrt(2)^31", budget=3.0)
+
+    def test_cube_at_the_coordinate_limit(self):
+        b = f"{2 ** 1364 + 1}+{2 ** 1363 + 3}*sqrt(-3)"
+        self._decompose(3, "Q(sqrt -3)", f"{b}^3", budget=2.0)
 
 
 class TestKummerCommand:

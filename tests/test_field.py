@@ -19,6 +19,7 @@ from ordens import (
     parse_field,
     rational_nth_root,
 )
+from ordens.field import MAX_D_BITS
 
 GAUSS = FieldSpec(-1)
 RT2 = FieldSpec(2)
@@ -182,6 +183,14 @@ class TestParsing:
             parse_field("Q[sqrt 2]")
         with pytest.raises(DomainError):
             parse_field("Q(sqrt 12)")
+
+    def test_discriminant_limit(self):
+        assert parse_field("Q(sqrt -4294967291)") == FieldSpec(-(2 ** MAX_D_BITS - 5))
+        assert parse_field("Q(sqrt 0000000000000002)") == RT2
+        for text in ("Q(sqrt 4294967296)", "Q(sqrt -1000000000000000003)",
+                     f"Q(sqrt {'7' * 5000})"):
+            with pytest.raises(DomainError):
+                parse_field(text)
 
     def test_element_grammar(self):
         assert parse_element("3", QQ) == elem(QQ, 3)

@@ -17,6 +17,7 @@ from ordens import (
     kummer_relative_degree,
     total_degree,
 )
+from ordens.kummer import MAX_VALUATION_BITS
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -96,6 +97,16 @@ class TestRelativeDegree:
             query(elem(QQ, 2), 2, 1, 2)  # n > m
         with pytest.raises(DomainError):
             kummer_relative_degree(query(elem(GAUSS, 0, 1), 2, 1, 1))  # torsion
+
+    @pytest.mark.parametrize("ell", [2, 3, 31])
+    def test_level_budget(self, ell):
+        top = MAX_VALUATION_BITS // ell.bit_length()
+        m = top - top // 2
+        assert len(str(total_degree(query(elem(QQ, 3), ell, m, top - m)))) < 4300  # prints
+        with pytest.raises(DomainError):
+            query(elem(QQ, 3), ell, m + 1, top - m)
+        with pytest.raises(DomainError):
+            query(elem(QQ, 3), ell, top + 1, 0)
 
 
 class TestTotalDegree:

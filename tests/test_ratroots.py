@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordens.ratroots import rational_roots_monic
+from ordens.ratroots import poly_eval, rational_roots_monic
 
 
 def roots(poly):
@@ -61,3 +63,30 @@ def test_huge_coefficients():
 def test_requires_monic():
     with pytest.raises(ValueError):
         rational_roots_monic([1, 2])
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _brute_force_roots(g):
+    reach = 1 + max(abs(c) for c in g)  # Cauchy's bound for a monic g
+    return {u for u in range(-reach, reach + 1) if poly_eval(g, u) == 0}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-60, 60), st.integers(-2 ** 200, 2 ** 200)), max_size=6),
+       st.integers(0, 2),
+       st.lists(st.integers(-12, 12), max_size=3))
+def test_product_roots_found_exactly(picked, repeats, tail):
+    """prod (x - r_i), some r_i repeated, times a small monic factor."""
+    rs = picked + picked[:repeats]
+    factor = tail + [1]
+    g = factor
+    for r in rs:
+        g = _times(g, [-r, 1])
+    assert roots(g) == sorted(set(rs) | _brute_force_roots(factor))

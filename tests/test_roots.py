@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -19,6 +21,7 @@ from ordens import (
     roots_of_unity,
     unit_order,
 )
+from ordens.roots import MAX_RESOLVENT_DEGREE
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -93,6 +96,24 @@ class TestLthRoots:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             lth_roots(elem(QQ, 0), 2)
+
+    def test_resolvent_degree_cap(self):
+        unit = elem(RT2, 1, 1)  # norm -1, so the resolvent is built for every odd l
+        assert lth_roots(unit ** MAX_RESOLVENT_DEGREE, MAX_RESOLVENT_DEGREE) == {unit}
+        for ell in (67, 211):
+            with pytest.raises(DomainError):
+                lth_roots(unit, ell)
+        assert lth_roots(elem(QQ, 3) ** 67, 67) == {elem(QQ, 3)}  # Q has no resolvent
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 13]), st.sampled_from([3, 5, 7, 11, 13]),
+       st.fractions(-40, 40, max_denominator=6), st.fractions(-40, 40, max_denominator=6))
+def test_lth_roots_of_a_power_are_its_unit_twists(d, ell, x, y):
+    """Odd l over Q(sqrt d): the l-th roots of b**l are exactly b times the l-th roots of 1."""
+    field = FieldSpec(d)
+    b = Element(field, x, y) if x or y else Element(field, 2)
+    assert lth_roots(b ** ell, ell) == {b * z for z in roots_of_unity(field, ell)}
 
 
 class TestStrongIndivisibility:

@@ -20,7 +20,7 @@ from ordens import (
     split_fraction,
     total_degree,
 )
-from ordens.scan import PrimeSlot, _slot_vk, sieve_primes
+from ordens.scan import MAX_BOUND, PrimeSlot, _slot_vk, sieve_primes
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -81,6 +81,12 @@ class TestEnumerate:
         split = sum(1 for s in slots if s.kind == "split")
         total_primes = len(sieve_primes(10 ** 5))
         assert abs(split - total_primes) < total_primes // 10
+
+    def test_bound_limit(self):
+        with pytest.raises(DomainError):
+            sieve_primes(MAX_BOUND + 1)
+        with pytest.raises(DomainError):
+            list(enumerate_slots(QQ, 10 ** 20))
 
 
 class TestOrderValuation:
