@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (zero element,
 non-squarefree d, n > m, ...), 4 golden-table mismatch or failed internal
 invariant.
+
+The argument parser is built once per process, at the first main call rather
+than at import, and reused by every later call; a shell command calls main
+once, so this pays only where one interpreter calls main many times.  analyze
+caches its answer per (a, l), so the D(a, n) of one element in one process
+share its normal form and halving flag.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from . import tables
@@ -43,7 +50,13 @@ def _check_ell(ell: int) -> None:
         raise DomainError(f"--ell must be prime, got {ell}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call.
+
+    Sharing is safe: parse_args returns a fresh Namespace each time, and
+    argparse looks up sys.stdout and sys.stderr only when it writes.
+    """
     p = argparse.ArgumentParser(
         prog="ordens",
         description="Exact densities of primes by the l-adic valuation of an "

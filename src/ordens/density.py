@@ -23,13 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycloProfile, cyclo_profile, cyclotomic_degree, special_case_flag
-from .field import DomainError, Element
+from .field import DomainError, Element, InvariantError
 from .kummer import MAX_VALUATION_BITS, KummerQuery, total_degree
 from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
-
-
-class InvariantError(RuntimeError):
-    """An internal identity that must hold exactly has failed."""
 
 
 class ShapeViolation(InvariantError):
@@ -53,8 +49,13 @@ class DensityValue:
             raise InvariantError(f"density {self.value} outside [0, 1]")
 
 
-def analyze(a: Element, ell: int) -> tuple[Decomposition, "object", bool]:
-    """Normal form, tower profile and halving flag for one input."""
+@lru_cache(maxsize=4096)
+def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
+    """Normal form, tower profile and halving flag for one input.
+
+    Cached per (a, l), so the D(a, n) of every n share one halving-flag
+    search; the returned objects are frozen.
+    """
     dec = decompose(a, ell)
     prof = cyclo_profile(a.field, ell)
     special = False
@@ -71,7 +72,6 @@ def _closed_zeta4_free_power(d: int, s: int, eps: Fraction) -> Fraction:
     return 1 - eps / 6 * Fraction(2) ** (s - d)
 
 
-@lru_cache(maxsize=4096)
 def density_closed(a: Element, ell: int) -> DensityValue:
     """D(a) = density of primes where the order of a is coprime to l."""
     if a.is_zero:

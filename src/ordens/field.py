@@ -25,6 +25,10 @@ class DomainError(ValueError):
     """Input outside an operation's domain (zero element, bad d, ...)."""
 
 
+class InvariantError(RuntimeError):
+    """An internal identity that must hold exactly has failed."""
+
+
 def is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:

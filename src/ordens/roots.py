@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import DomainError, Element, FieldSpec, rational_nth_root
+from .field import DomainError, Element, FieldSpec, InvariantError, rational_nth_root
 from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
@@ -160,7 +160,6 @@ class Decomposition:
         return self.base ** (self.ell ** self.depth) * self.unit
 
 
-@lru_cache(maxsize=4096)
 def decompose(a: Element, ell: int) -> Decomposition:
     """Maximal-depth power-times-unit normal form of a.
 
@@ -193,7 +192,7 @@ def decompose(a: Element, ell: int) -> Decomposition:
             break
         depth += 1
         if depth > _MAX_DEPTH:
-            raise RuntimeError(f"power depth exceeded {_MAX_DEPTH}; input {a}")
+            raise InvariantError(f"power depth exceeded {_MAX_DEPTH}; input {a}")
         level = winners = nxt
     xi = min(winners, key=lambda u: (orders[u], mu.index(u)))
     base = max(winners[xi], key=lambda e: (e.x, e.y))
@@ -205,5 +204,5 @@ def decompose(a: Element, ell: int) -> Decomposition:
     case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
     dec = Decomposition(ell, case, depth, base, xi, r)
     if dec.recompose() != a:
-        raise RuntimeError(f"decomposition round-trip failed for {a}")
+        raise InvariantError(f"decomposition round-trip failed for {a}")
     return dec

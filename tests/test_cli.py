@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ordens
-from ordens.cli import main
+from ordens.cli import build_parser, entrypoint, main
 
 
 def run(argv):
@@ -246,3 +246,46 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["density", "--ell", "2"])
         assert exc.value.code == 2
+
+    def test_failed_invariant_is_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(ordens.Decomposition, "recompose", lambda self: self.unit)
+        code, _ = run(["decompose", "--ell", "2", "--field", "Q", "--a", "12"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("invariant failure:") and "Traceback" not in err
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process without carrying state."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_sequence_leak_nothing(self, capsys):
+        code, out = run(["scan", "--ell", "2", "--field", "Q", "--a", "3",
+                         "--bound", "3000", "--compare"])
+        assert code == 0 and "max_abs_error" in out
+        code, out = run(["density", "--ell", "2", "--field", "Q", "--a", "3", "--val", "3"])
+        assert code == 0 and out.strip() == "1/12"
+        code, out = run(["kummer", "--ell", "2", "--m", "3", "--n", "1",
+                         "--field", "Q", "--a", "2"])
+        assert code == 0 and "total_degree 4" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--ell", "2", "--field", "Q"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--help"])
+        assert exc.value.code == 0
+        assert "--val" in capsys.readouterr().out
+        argv = ["--format", "json", "density", "--ell", "2", "--field", "Q", "--a", "3"]
+        code, out = run(argv)
+        assert code == 0 and json.loads(out)["n"] == 0
+        assert out == run_process(argv, budget=10.0).stdout
+
+    def test_entrypoint(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ordens", "--format", "json", "density",
+                                          "--ell", "2", "--field", "Q", "--a", "2", "--val", "1"])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == "7/24"

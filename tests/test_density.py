@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,22 @@ class TestValuationReduction:
             assert len(str(density(a, ell, top).value)) < 4300  # prints
             with pytest.raises(DomainError):
                 density(a, ell, top + 1)
+
+    def test_valuations_share_one_halving_flag_search(self, monkeypatch):
+        mod = importlib.import_module("ordens.density")  # ordens.density is the function
+        calls = []
+        real = mod.special_case_flag
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mod, "special_case_flag", counting)
+        mod.analyze.cache_clear()  # other tests may have cached this (a, l) already
+        a = elem(RT3, 7919, -104729)
+        values = [density(a, 2, n).value for n in range(9)]
+        assert len(calls) == 1
+        assert sum(values) < 1 and values[8] > 0
 
 
 class TestSeries:
