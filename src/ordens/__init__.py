@@ -36,7 +36,6 @@ from .roots import (
     Decomposition,
     decompose,
     is_root_of_unity,
-    is_strongly_indivisible,
     lth_roots,
     roots_of_unity,
     unit_order,
@@ -46,7 +45,6 @@ from .scan import (
     ScanReport,
     empirical_density,
     enumerate_slots,
-    nonpower_certificate,
     split_fraction,
 )
 
@@ -57,12 +55,12 @@ __all__ = [
     "parse_field", "parse_element", "format_element",
     "FieldMismatch", "ParseError", "DomainError",
     "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",
-    "unit_order", "is_root_of_unity", "is_strongly_indivisible",
+    "unit_order", "is_root_of_unity",
     "CycloProfile", "Tower", "cyclo_profile", "cyclotomic_degree", "special_case_flag",
     "KummerQuery", "kummer_relative_degree", "total_degree",
     "DensityValue", "density", "density_closed", "density_series",
     "analyze", "shape_check", "ShapeReport", "InvariantError", "ShapeViolation",
     "PrimeSlot", "ScanReport", "enumerate_slots",
-    "empirical_density", "split_fraction", "nonpower_certificate",
+    "empirical_density", "split_fraction",
     "__version__",
 ]

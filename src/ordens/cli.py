@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 parse/usage error, 3 domain error (zero element,
 non-squarefree d, n > m, ...), 4 golden-table mismatch or failed internal
 invariant.
 
+Every command but selfcheck prints through _emit, which renders the
+command's json payload, its csv rows or its plain lines.
+
 The argument parser is built once per process, at the first main call rather
 than at import, and reused by every later call; a shell command calls main
 once, so this pays only where one interpreter calls main many times.  analyze
@@ -24,7 +27,7 @@ from math import isqrt
 
 from . import tables
 from .cyclo import cyclo_profile
-from .density import DensityValue, InvariantError, analyze, density, density_series
+from .density import InvariantError, analyze, density, density_series
 from .field import DomainError, FieldMismatch, ParseError, parse_element, parse_field
 from .kummer import KummerQuery, kummer_relative_degree, total_degree
 from .roots import Case, decompose
@@ -68,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ell", type=int, required=True, help="prime l")
         sp.add_argument("--field", required=True, help="Q or 'Q(sqrt D)'")
         if element:
-            sp.add_argument("--a", required=True, help="element text")
+            sp.add_argument("--a", required=True,
+                            help="element text; a leading '-' is fine, as in --a -2/3")
 
     d = sub.add_parser("density", help="exact density for a prescribed valuation")
     common(d)
@@ -107,59 +111,54 @@ def _emit_csv(rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _print_density(out, fmt: str, field: str, a: str, ell: int, n: int,
-                   dv: DensityValue) -> None:
-    if fmt == "plain":
-        print(str(dv.value), file=out)
-    elif fmt == "csv":
-        print(_emit_csv([{"field": field, "a": a, "ell": ell, "n": n,
-                          "exact": str(dv.value)}]), file=out)
+def _emit(out, fmt: str, lines: list[str], payload: dict,
+          rows: list[dict] | None = None) -> None:
+    """Print one answer: the payload as json, the rows as csv, else the lines.
+
+    A command without csv rows prints its plain lines for --format csv.
+    """
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True), file=out)
+    elif fmt == "csv" and rows is not None:
+        print(_emit_csv(rows), file=out)
     else:
-        print(json.dumps({
-            "field": field, "a": a, "ell": ell, "n": n,
-            "exact": str(dv.value), "approx": _approx(dv.value),
-            "method": dv.method, "branch": dv.branch,
-            "params": {k: str(v) for k, v in dv.params},
-        }, sort_keys=True), file=out)
+        print("\n".join(lines), file=out)
 
 
 def _cmd_density(args, out) -> int:
-    field = parse_field(args.field)
-    a = parse_element(args.a, field)
+    a = parse_element(args.a, parse_field(args.field))
     dv = density(a, args.ell, args.val)
-    _print_density(out, args.format, args.field, args.a, args.ell, args.val, dv)
+    key = {"field": args.field, "a": args.a, "ell": args.ell, "n": args.val}
+    exact = str(dv.value)
+    _emit(out, args.format, [exact],
+          {**key, "exact": exact, "approx": _approx(dv.value), "method": dv.method,
+           "branch": dv.branch, "params": {k: str(v) for k, v in dv.params}},
+          [{**key, "exact": exact}])
     return 0
 
 
 def _cmd_kummer(args, out) -> int:
-    field = parse_field(args.field)
-    a = parse_element(args.a, field)
+    a = parse_element(args.a, parse_field(args.field))
     dec, prof, special = analyze(a, args.ell)
     q = KummerQuery(args.ell, args.m, args.n, dec, prof, special)
     rel, tot = kummer_relative_degree(q), total_degree(q)
-    if args.format == "json":
-        print(json.dumps({"relative_degree": rel, "total_degree": tot,
-                          "m": args.m, "n": args.n, "special": special},
-                         sort_keys=True), file=out)
-    else:
-        print(f"relative_degree {rel}", file=out)
-        print(f"total_degree {tot}", file=out)
+    _emit(out, args.format, [f"relative_degree {rel}", f"total_degree {tot}"],
+          {"relative_degree": rel, "total_degree": tot,
+           "m": args.m, "n": args.n, "special": special})
     return 0
 
 
+def _key_values(payload: dict) -> list[str]:
+    return [" ".join(f"{k}={v}" for k, v in payload.items())]
+
+
 def _cmd_decompose(args, out) -> int:
-    field = parse_field(args.field)
-    a = parse_element(args.a, field)
+    a = parse_element(args.a, parse_field(args.field))
     dec = decompose(a, args.ell)
-    if dec.case is Case.ROOT_OF_UNITY:
-        payload = {"case": dec.case.value}
-    else:
-        payload = {"case": dec.case.value, "d": dec.depth, "b": str(dec.base),
-                   "xi": str(dec.unit), "r": dec.unit_level}
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(" ".join(f"{k}={v}" for k, v in payload.items()), file=out)
+    payload = {"case": dec.case.value}
+    if dec.case is not Case.ROOT_OF_UNITY:
+        payload.update(d=dec.depth, b=str(dec.base), xi=str(dec.unit), r=dec.unit_level)
+    _emit(out, args.format, _key_values(payload), payload)
     return 0
 
 
@@ -173,74 +172,55 @@ def _cmd_profile(args, out) -> int:
         "zeta4_stall": prof.zeta4_stall,
         "tower": prof.tower.value if prof.tower else None,
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(" ".join(f"{k}={v}" for k, v in payload.items()), file=out)
+    _emit(out, args.format, _key_values(payload), payload)
     return 0
 
 
 def _cmd_scan(args, out) -> int:
-    field = parse_field(args.field)
-    a = parse_element(args.a, field)
+    a = parse_element(args.a, parse_field(args.field))
     rep = empirical_density(a, args.ell, args.bound)
-    if args.format == "json":
-        payload = {
-            "field": args.field, "a": args.a, "ell": args.ell,
-            "bound": rep.bound, "counted": rep.counted,
-            "excluded": list(rep.excluded),
-            "histogram": {str(n): c for n, c in rep.histogram.items()},
-            "empirical": {str(n): str(v) for n, v in rep.empirical.items()},
-        }
+    lines = [f"counted {rep.counted} slots, excluded primes {list(rep.excluded)}"]
+    rows = []
+    for n in sorted(rep.empirical):
+        emp = rep.empirical[n]
+        line = f"n={n} count={rep.histogram.get(n, 0)} empirical={emp} ({_approx(emp)})"
+        row = {"field": args.field, "a": args.a, "ell": args.ell, "n": n,
+               "empirical": str(emp)}
         if args.compare:
-            payload["exact"] = {str(n): str(v) for n, v in rep.exact.items()}
-            payload["max_abs_error"] = str(rep.max_abs_error)
-            payload["max_abs_error_approx"] = _approx(rep.max_abs_error)
-        print(json.dumps(payload, sort_keys=True), file=out)
-    elif args.format == "csv":
-        rows = []
-        for n in sorted(rep.empirical):
-            row = {"field": args.field, "a": args.a, "ell": args.ell, "n": n,
-                   "empirical": str(rep.empirical[n])}
-            if args.compare:
-                row["exact"] = str(rep.exact[n])
-                row["abs_error"] = str(abs(rep.empirical[n] - rep.exact[n]))
-            rows.append(row)
-        print(_emit_csv(rows), file=out)
-    else:
-        print(f"counted {rep.counted} slots, excluded primes {list(rep.excluded)}",
-              file=out)
-        for n in sorted(rep.empirical):
-            line = (f"n={n} count={rep.histogram.get(n, 0)} "
-                    f"empirical={rep.empirical[n]} ({_approx(rep.empirical[n])})")
-            if args.compare:
-                line += f" exact={rep.exact[n]} ({_approx(rep.exact[n])})"
-            print(line, file=out)
-        if args.compare:
-            print(f"max_abs_error {rep.max_abs_error} "
-                  f"({_approx(rep.max_abs_error)})", file=out)
+            exact = rep.exact[n]
+            line += f" exact={exact} ({_approx(exact)})"
+            row.update(exact=str(exact), abs_error=str(abs(emp - exact)))
+        lines.append(line)
+        rows.append(row)
+    payload = {
+        "field": args.field, "a": args.a, "ell": args.ell,
+        "bound": rep.bound, "counted": rep.counted,
+        "excluded": list(rep.excluded),
+        "histogram": {str(n): c for n, c in rep.histogram.items()},
+        "empirical": {str(n): str(v) for n, v in rep.empirical.items()},
+    }
+    if args.compare:
+        err = rep.max_abs_error
+        lines.append(f"max_abs_error {err} ({_approx(err)})")
+        payload.update(exact={str(n): str(v) for n, v in rep.exact.items()},
+                       max_abs_error=str(err), max_abs_error_approx=_approx(err))
+    _emit(out, args.format, lines, payload, rows)
     return 0
 
 
 def _cmd_tables(args, out) -> int:
     results, diffs = tables.check_table(args.which)
-    if args.format == "csv":
-        rows = [{"field": r.field, "a": r.a, "ell": r.ell, "n": r.n,
-                 "exact": str(got)} for r, got in results]
-        print(_emit_csv(rows), file=out)
-    elif args.format == "json":
-        print(json.dumps({
-            "table": args.which,
-            "rows": [{"field": r.field, "a": r.a, "ell": r.ell, "n": r.n,
-                      "expected": str(r.expected), "computed": str(got)}
-                     for r, got in results],
-            "diffs": len(diffs),
-        }, sort_keys=True), file=out)
-    else:
-        for r, got in results:
-            mark = "" if got == r.expected else f"  MISMATCH expected {r.expected}"
-            print(f"{r.field}\t{r.a}\tl={r.ell}\tn={r.n}\t{got}{mark}", file=out)
-        print(f"{len(results)} rows, {len(diffs)} diffs", file=out)
+    lines = [f"{r.field}\t{r.a}\tl={r.ell}\tn={r.n}\t{got}"
+             + ("" if got == r.expected else f"  MISMATCH expected {r.expected}")
+             for r, got in results]
+    lines.append(f"{len(results)} rows, {len(diffs)} diffs")
+    payload = {"table": args.which, "diffs": len(diffs),
+               "rows": [{"field": r.field, "a": r.a, "ell": r.ell, "n": r.n,
+                         "expected": str(r.expected), "computed": str(got)}
+                        for r, got in results]}
+    rows = [{"field": r.field, "a": r.a, "ell": r.ell, "n": r.n, "exact": str(got)}
+            for r, got in results]
+    _emit(out, args.format, lines, payload, rows)
     return 4 if diffs else 0
 
 
@@ -281,8 +261,11 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads text like -2/3 as an option
+        if argv[i] == "--a" and argv[i + 1][:1] == "-" and argv[i + 1][:2] != "--":
+            argv[i:i + 2] = [f"--a={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "ell", None) is not None:
             _check_ell(args.ell)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycloProfile, cyclo_profile, cyclotomic_degree, special_case_flag
-from .field import DomainError, Element, InvariantError
+from .cyclo import CycloProfile, cyclo_profile, special_case_flag
+from .field import DomainError, Element, InvariantError, valuation
 from .kummer import MAX_VALUATION_BITS, KummerQuery, total_degree
 from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
 
@@ -195,12 +195,6 @@ class ShapeReport:
     detail: str
 
 
-def _is_power_of(n: int, ell: int) -> bool:
-    while n % ell == 0:
-        n //= ell
-    return n == 1
-
-
 def shape_check(a: Element, ell: int) -> ShapeReport:
     """Assert the structural form the density must take for this field.
 
@@ -220,8 +214,9 @@ def shape_check(a: Element, ell: int) -> ShapeReport:
         return ShapeReport("cyclotomic-scaled", got, f"d={dec.depth}")
     if (ell != 2 and prof.has_zeta_ell) or (ell == 2 and prof.has_zeta4):
         for v in (got, 1 - got):
+            q = v.denominator // (ell + 1)
             if v != 0 and v.numerator == 1 and v.denominator % (ell + 1) == 0 \
-                    and _is_power_of(v.denominator // (ell + 1), ell):
+                    and q == ell ** valuation(q, ell):
                 return ShapeReport("pure", got, f"1/(l^n(l+1)) side={'direct' if v == got else 'complement'}")
         raise ShapeViolation(f"{a}: {got} is not 1/(l^n(l+1)) or its complement")
     return ShapeReport(None, got, "no mandated shape for this field")

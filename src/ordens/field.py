@@ -175,6 +175,15 @@ class Element:
         return format_element(self)
 
 
+def valuation(n: int, ell: int) -> int:
+    """The exponent of the prime ell in the nonzero integer n."""
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
 def _int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2:
@@ -272,9 +281,9 @@ def _coordinate_bits(e: Element) -> int:
     return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in (e.x, e.y))
 
 
-def _check_bits(bits: int, what: str) -> None:
+def _check_bits(bits: int, what: str, least: str = "") -> None:
     if bits > MAX_COORDINATE_BITS:
-        raise DomainError(f"{what} needs {bits} bits per coordinate, "
+        raise DomainError(f"{what} needs {least}{bits} bits per coordinate, "
                           f"over the limit of {MAX_COORDINATE_BITS}")
 
 
@@ -282,9 +291,10 @@ class _ElementParser:
     """element := term ('*' term)* ; term := atom ('^' uint)? ;
     atom := 'i' | 'zeta3' | rat | rat sign rat*sqrt(D) | [sign] rat*sqrt(D)
 
-    Every term and product is held to MAX_COORDINATE_BITS; a power is
-    refused before it is built when the exponent times the atom's largest
-    coordinate bit length is over that limit.
+    Every term and product is held to MAX_COORDINATE_BITS.  A power is
+    refused before it is built when it must be over that limit: for a
+    rational atom whose larger coordinate has b bits, atom**k has at least
+    k*(b - 1) + 1; for an atom with a sqrt(d) part the bound is k*b.
     """
 
     def __init__(self, tokens: list[str], field: FieldSpec):
@@ -323,7 +333,11 @@ class _ElementParser:
         if self.peek() == "^":
             self.next()
             k = self.uint()
-            _check_bits(k * _coordinate_bits(a), f"a power to the exponent {k}")
+            bits = _coordinate_bits(a)
+            if a.y == 0:
+                _check_bits(k * (bits - 1) + 1, f"a power to the exponent {k}", "at least ")
+            else:
+                _check_bits(k * bits, f"a power to the exponent {k}")
             a = a ** k
         _check_bits(_coordinate_bits(a), "a term")
         return a

@@ -36,7 +36,7 @@ class KummerQuery:
     n: int
     decomp: Decomposition
     profile: CycloProfile
-    special: bool = False
+    special: bool
 
     def __post_init__(self) -> None:
         if self.m < 1:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import DomainError, Element, FieldSpec, InvariantError, rational_nth_root
+from .field import DomainError, Element, FieldSpec, InvariantError, rational_nth_root, valuation
 from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
@@ -56,13 +56,7 @@ def unit_order(e: Element) -> int:
 
 def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
     """The l-power-order roots of unity of the field, in canonical order."""
-    out = []
-    for u, o in unit_orders(field).items():
-        while o % ell == 0:
-            o //= ell
-        if o == 1:
-            out.append(u)
-    return out
+    return [u for u, o in unit_orders(field).items() if o == ell ** valuation(o, ell)]
 
 
 def _power_sum_poly(ell: int, eta: Fraction) -> list[Fraction]:
@@ -99,19 +93,6 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
                 if cand ** ell == c:
                     roots.add(cand)
     return roots
-
-
-def is_strongly_indivisible(a: Element, ell: int) -> bool:
-    """True when a*xi has no l-th root in the field for every root of unity xi.
-
-    Roots of unity themselves are never strongly indivisible and return
-    False; use is_root_of_unity to tell that case apart.
-    """
-    if a.is_zero:
-        raise DomainError("zero cannot be tested")
-    if is_root_of_unity(a):
-        return False
-    return all(not lth_roots(a * xi, ell) for xi in roots_of_unity(a.field, ell))
 
 
 class Case(str, Enum):
@@ -196,13 +177,8 @@ def decompose(a: Element, ell: int) -> Decomposition:
         level = winners = nxt
     xi = min(winners, key=lambda u: (orders[u], mu.index(u)))
     base = max(winners[xi], key=lambda e: (e.x, e.y))
-    r = 0
-    o = orders[xi]
-    while o > 1:
-        o //= ell
-        r += 1
     case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
-    dec = Decomposition(ell, case, depth, base, xi, r)
+    dec = Decomposition(ell, case, depth, base, xi, valuation(orders[xi], ell))
     if dec.recompose() != a:
         raise InvariantError(f"decomposition round-trip failed for {a}")
     return dec

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .density import density
-from .field import DomainError, Element, FieldSpec
-
-VKCounts = Counter  # keys (v, k)
+from .field import DomainError, Element, FieldSpec, valuation
 
 
 class PrimeSlot(NamedTuple):
@@ -120,22 +118,11 @@ def _field_slots(field: FieldSpec, bound: int) -> tuple[PrimeSlot, ...]:
     return tuple(slots)
 
 
-def enumerate_slots(field: FieldSpec, norm_bound: int,
-                    exclusions: frozenset[int] = frozenset()) -> Iterator[PrimeSlot]:
+def enumerate_slots(field: FieldSpec, norm_bound: int) -> tuple[PrimeSlot, ...]:
     """Primes of the field with norm <= norm_bound, ramified ones skipped."""
     if norm_bound < 2:
         raise DomainError("norm bound must be at least 2")
-    for slot in _field_slots(field, norm_bound):
-        if slot.p not in exclusions:
-            yield slot
-
-
-def _valuation(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
+    return _field_slots(field, norm_bound)
 
 
 def _pow_fp2(c0: int, c1: int, e: int, p: int, d: int) -> tuple[int, int]:
@@ -155,7 +142,7 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
         red = (xn * pow(xd, -1, p) + yn * pow(yd, -1, p) * (slot.sqrt_d or 0)) % p
         if red == 0:
             raise DomainError(f"reduction mod {p} is not a unit")
-        v = _valuation(p - 1, ell)
+        v = valuation(p - 1, ell)
         w = pow(red, (p - 1) // ell ** v, p)
         k = 0
         while w != 1:
@@ -170,11 +157,11 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
         # to 1, so every unit reduces to 1 and has order 1.
         if (c0 + c1) % 2 == 0:
             raise DomainError("reduction mod 2 is not a unit")
-        return _valuation(3, ell), 0
+        return valuation(3, ell), 0
     if c0 == 0 and c1 == 0:
         raise DomainError(f"reduction mod {p} is not a unit")
     q = p * p
-    v = _valuation(q - 1, ell)
+    v = valuation(q - 1, ell)
     dm = d % p
     w0, w1 = _pow_fp2(c0, c1, (q - 1) // ell ** v, p, dm)
     k = 0
@@ -247,25 +234,3 @@ def split_fraction(a: Element, ell: int, m: int, n: int,
                if v >= m and k <= v - min(n, v))
     return Fraction(hits, counted)
 
-
-def nonpower_certificate(c: Element, ell: int, bound: int = 10 ** 4) -> PrimeSlot | None:
-    """A degree-one prime witnessing that c is not an l-th power in the field.
-
-    Returns the first split slot with q = 1 mod l at which the reduction
-    of c is not an l-th power, or None when no witness exists below the
-    bound.  When lth_roots(c) is empty such a witness must exist for some
-    bound (a nontrivial radical extension has inert primes of positive
-    density), so this doubles as an independent counterexample record.
-    """
-    bad = _bad_modulus(c, ell)
-    coords = (c.x.numerator, c.x.denominator, c.y.numerator, c.y.denominator,
-              c.field.d or 0)
-    for slot in _field_slots(c.field, bound):
-        p = slot.p
-        if slot.kind != "split" or bad % p == 0 or (p - 1) % ell != 0:
-            continue
-        # F_p^x is cyclic, so the reduction is an l-th power iff k < v
-        v, k = _slot_vk(*coords, slot, ell)
-        if k == v:
-            return slot
-    return None

@@ -22,7 +22,6 @@ from ordens import (
     density,
     density_closed,
     density_series,
-    is_strongly_indivisible,
     lth_roots,
     parse_element,
     parse_field,

@@ -11,13 +11,13 @@ def test_all_is_pinned_and_resolves():
         "parse_field", "parse_element", "format_element",
         "FieldMismatch", "ParseError", "DomainError",
         "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",
-        "unit_order", "is_root_of_unity", "is_strongly_indivisible",
+        "unit_order", "is_root_of_unity",
         "CycloProfile", "Tower", "cyclo_profile", "cyclotomic_degree", "special_case_flag",
         "KummerQuery", "kummer_relative_degree", "total_degree",
         "DensityValue", "density", "density_closed", "density_series",
         "analyze", "shape_check", "ShapeReport", "InvariantError", "ShapeViolation",
         "PrimeSlot", "ScanReport", "enumerate_slots",
-        "empirical_density", "split_fraction", "nonpower_certificate",
+        "empirical_density", "split_fraction",
         "__version__",
     ]
     assert [n for n in ordens.__all__ if not hasattr(ordens, n)] == []

@@ -94,6 +94,39 @@ class TestLargeInputs:
         assert "Traceback" not in err and err.startswith("error:")
 
 
+class TestPowerBound:
+    """A rational power is refused before it is built only when it must be too large."""
+
+    @pytest.mark.parametrize("a", ["2^4000", "3^2584"])  # 4,001 and 4,096 bits
+    def test_power_under_the_limit_answers(self, a):
+        code, out = run(["decompose", "--ell", "2", "--field", "Q(sqrt -1)", "--a", a])
+        assert code == 0
+        fields = dict(item.split("=", 1) for item in out.split())
+        spec = ordens.parse_field("Q(sqrt -1)")
+        b, xi = ordens.parse_element(fields["b"], spec), ordens.parse_element(fields["xi"], spec)
+        assert b ** (2 ** int(fields["d"])) * xi == ordens.parse_element(a, spec)
+
+    @pytest.mark.parametrize("a", ["2^4097", "3^2585"])  # 4,098 bits each
+    def test_power_over_the_limit_is_3(self, a, capsys):
+        code, _ = run(["decompose", "--ell", "2", "--field", "Q(sqrt -1)", "--a", a])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and err.startswith("error:")
+
+
+class TestLeadingMinus:
+    """Element text that starts with '-' reads the same after --a as after --a=."""
+
+    @pytest.mark.parametrize("field,a", [
+        ("Q", "-2/3"), ("Q(sqrt 3)", "-2*sqrt(3)"), ("Q(sqrt -3)", "-1/2+1/2*sqrt(-3)"),
+    ])
+    def test_same_answer_as_equals_form(self, field, a):
+        for head in ([], ["--format", "json"]):
+            spaced = run(head + ["density", "--ell", "2", "--field", field, "--a", a])
+            joined = run(head + ["density", "--ell", "2", "--field", field, f"--a={a}"])
+            assert spaced[0] == 0 and spaced == joined
+
+
 class TestLimits:
     """Each documented limit answers exit 3 at once, with no traceback."""
 

@@ -159,3 +159,12 @@ class TestRange:
         for a, ell in corpus[::9]:
             v = density_closed(a, ell).value
             assert 0 <= v <= 1
+
+
+def test_galois_invariance(corpus):
+    """D(sigma a, n) = D(a, n) for sigma(x + y*sqrt d) = x - y*sqrt d."""
+    quadratic = [(a, ell) for a, ell in corpus if not a.field.is_rational]
+    assert quadratic
+    for a, ell in quadratic:
+        for n in range(4):
+            assert density(a.conjugate(), ell, n).value == density(a, ell, n).value, (a, ell, n)

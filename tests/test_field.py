@@ -219,10 +219,10 @@ class TestParsing:
             parse_element("2**3", QQ)
 
     def test_coordinate_bit_limit(self):
-        # 2 has bit length 2, so the exponent estimate allows 2^2048 and no more
-        assert parse_element("2^2048", QQ) == elem(QQ, 2 ** 2048)
-        with pytest.raises(DomainError):
-            parse_element("2^2049", QQ)
+        # 2^k has k + 1 bits, so 2^4095 is the largest power of 2 within the limit
+        assert parse_element("2^4095", QQ) == elem(QQ, 2 ** 4095)
+        with pytest.raises(DomainError, match="at least 4097 bits"):
+            parse_element("2^4096", QQ)
         with pytest.raises(DomainError):
             parse_element("2^100000000", QQ)
         with pytest.raises(DomainError):  # each factor fits, the product does not

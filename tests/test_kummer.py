@@ -8,7 +8,6 @@ import pytest
 
 from ordens import (
     QQ,
-    Case,
     DomainError,
     Element,
     FieldSpec,
@@ -98,6 +97,13 @@ class TestRelativeDegree:
         with pytest.raises(DomainError):
             kummer_relative_degree(query(elem(GAUSS, 0, 1), 2, 1, 1))  # torsion
 
+    def test_halving_flag_has_no_default(self):
+        # over Q the flag of 2 is set: a default of False would give 8, not 4
+        dec, prof, special = analyze(elem(QQ, 2), 2)
+        assert special and total_degree(KummerQuery(2, 3, 1, dec, prof, special)) == 4
+        with pytest.raises(TypeError):
+            KummerQuery(2, 3, 1, dec, prof)
+
     @pytest.mark.parametrize("ell", [2, 3, 31])
     def test_level_budget(self, ell):
         top = MAX_VALUATION_BITS // ell.bit_length()
@@ -121,3 +127,26 @@ class TestTotalDegree:
 
     def test_power_times_unit_total(self):
         assert total_degree(query(elem(GAUSS, 0, 4), 2, 4, 3)) == 8
+
+
+def test_tower_laws(corpus):
+    """T(m, j) = total degree for levels m, j.  Going one level up in m or in j
+    multiplies T by a divisor-respecting factor of at most l, and the Kummer
+    step over K(zeta_{l^m}) has degree at most l**j."""
+    checked = 0
+    for a, ell in corpus:
+        dec, prof, special = analyze(a, ell)
+
+        def t(m, j):
+            return total_degree(KummerQuery(ell, m, j, dec, prof, special))
+
+        for m in range(1, 8):
+            for j in range(m + 1):
+                here = t(m, j)
+                ups = [t(m + 1, j)] + ([t(m, j + 1)] if j < m else [])
+                for up in ups:
+                    assert up % here == 0 and up // here <= ell, (a, ell, m, j)
+                rel = kummer_relative_degree(KummerQuery(ell, m, j, dec, prof, special))
+                assert rel <= ell ** j, (a, ell, m, j)
+                checked += 1
+    assert checked == 35 * len(corpus)

@@ -16,7 +16,6 @@ from ordens import (
     FieldSpec,
     decompose,
     is_root_of_unity,
-    is_strongly_indivisible,
     lth_roots,
     roots_of_unity,
     unit_order,
@@ -27,6 +26,16 @@ GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
 RT2 = FieldSpec(2)
 RT3 = FieldSpec(3)
+
+
+def is_strongly_indivisible(a, ell):
+    """True when a*xi has no l-th root for every l-power root of unity xi.
+
+    The reference for decompose's base; roots of unity never qualify.
+    """
+    if is_root_of_unity(a):
+        return False
+    return all(not lth_roots(a * xi, ell) for xi in roots_of_unity(a.field, ell))
 
 
 def elem(field, x, y=0):
