@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (zero element,
 non-squarefree d, n > m, ...), 4 golden-table mismatch or failed internal
-invariant.
+invariant, 141 (128 + SIGPIPE) with no traceback when the reader closes
+stdout early, as `| head -1` does.
 
 Every command but selfcheck prints through _emit, which renders the
 command's json payload, its csv rows or its plain lines.
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -72,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", required=True, help="Q or 'Q(sqrt D)'")
         if element:
             sp.add_argument("--a", required=True,
-                            help="element text; a leading '-' is fine, as in --a -2/3")
+                            help="element text; a leading '-' is fine, as in --a -2/3, "
+                                 "and binds before '^': -2^2 is 4, -1*2^2 is -4")
 
     d = sub.add_parser("density", help="exact density for a prescribed valuation")
     common(d)
@@ -282,7 +285,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -290,6 +290,7 @@ def _check_bits(bits: int, what: str, least: str = "") -> None:
 class _ElementParser:
     """element := term ('*' term)* ; term := atom ('^' uint)? ;
     atom := 'i' | 'zeta3' | rat | rat sign rat*sqrt(D) | [sign] rat*sqrt(D)
+    (the sign is the atom's, so '-2^2' is (-2)**2 = 4; '-1*2^2' is -4)
 
     Every term and product is held to MAX_COORDINATE_BITS.  A power is
     refused before it is built when it must be over that limit: for a
@@ -409,5 +410,6 @@ class _ElementParser:
 
 
 def parse_element(text: str, field: FieldSpec) -> Element:
-    """Parse element text like '2', '-1/2+1/2*sqrt(-3)', '8*zeta3', '2^9'."""
+    """Parse element text like '2', '-1/2+1/2*sqrt(-3)', '8*zeta3', '2^9';
+    a leading sign binds before '^', so '-2^2' is 4 and '-1*2^2' is -4."""
     return _ElementParser(_tokenize(text), field).parse()

@@ -7,7 +7,9 @@ residue field is coordinate-wise; inert slots at odd p live in
 F_p[T]/(T**2 - d) with hand-rolled pair arithmetic.  A scan condenses each
 slot into the pair (v, k) = (l-valuation of q - 1, l-valuation of the
 reduced element's order), from which both the valuation histogram and
-complete-splitting fractions are read off.
+complete-splitting fractions are read off.  When v = 0, l does not divide the
+order, so the slot is (0, 0) with no power.  Reduction is over the common
+denominator of a = (u + w*sqrt(d)) / den: one inverse at most, none if den = 1.
 """
 
 from __future__ import annotations
@@ -135,22 +137,9 @@ def _pow_fp2(c0: int, c1: int, e: int, p: int, d: int) -> tuple[int, int]:
     return r0, r1
 
 
-def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
-             slot: PrimeSlot, ell: int) -> tuple[int, int]:
-    p = slot.p
-    if slot.kind == "split":
-        red = (xn * pow(xd, -1, p) + yn * pow(yd, -1, p) * (slot.sqrt_d or 0)) % p
-        if red == 0:
-            raise DomainError(f"reduction mod {p} is not a unit")
-        v = valuation(p - 1, ell)
-        w = pow(red, (p - 1) // ell ** v, p)
-        k = 0
-        while w != 1:
-            w = pow(w, ell, p)
-            k += 1
-        return v, k
-    c0 = xn * pow(xd, -1, p) % p
-    c1 = yn * pow(yd, -1, p) % p
+def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, int]:
+    inv = pow(den, -1, p)
+    c0, c1 = u * inv % p, w * inv % p
     if p == 2:
         # 2 is inert only for d = 5 mod 8.  The residue field is then
         # O/2O = F_4, not F_2[T]/(T**2 - d): sqrt(d) = 2*omega - 1 reduces
@@ -160,10 +149,9 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
         return valuation(3, ell), 0
     if c0 == 0 and c1 == 0:
         raise DomainError(f"reduction mod {p} is not a unit")
-    q = p * p
-    v = valuation(q - 1, ell)
+    v = valuation(p * p - 1, ell)
     dm = d % p
-    w0, w1 = _pow_fp2(c0, c1, (q - 1) // ell ** v, p, dm)
+    w0, w1 = _pow_fp2(c0, c1, (p * p - 1) // ell ** v, p, dm)
     k = 0
     while (w0, w1) != (1, 0):
         w0, w1 = _pow_fp2(w0, w1, ell, p, dm)
@@ -171,14 +159,40 @@ def _slot_vk(xn: int, xd: int, yn: int, yd: int, d: int,
     return v, k
 
 
+def _integral(a: Element) -> tuple[int, int, int]:
+    """(den, u, w) with a = (u + w*sqrt(d)) / den and den the common denominator."""
+    den = lcm(a.x.denominator, a.y.denominator)
+    return den, int(a.x * den), int(a.y * den)
+
+
+def _vk_counts(a: Element, ell: int, slots: list[PrimeSlot]) -> Counter:
+    """Count the pairs (v, k) of a over the given slots."""
+    den, u, w = _integral(a)
+    counts: Counter = Counter()
+    for p, kind, _, s in slots:
+        if kind != "split":
+            counts[_inert_vk(u, w, den, a.field.d, p, ell)] += 1
+            continue
+        red = (u + w * s) % p if s else u % p
+        if red == 0:
+            raise DomainError(f"reduction mod {p} is not a unit")
+        e, v, k = p - 1, 0, 0
+        while e % ell == 0:
+            e //= ell
+            v += 1
+        if v:
+            x = pow(red if den == 1 else red * pow(den, -1, p), e, p)
+            while x != 1:
+                x = pow(x, ell, p)
+                k += 1
+        counts[v, k] += 1
+    return counts
+
+
 def _bad_modulus(a: Element, ell: int) -> int:
     """Product sweeping up every prime where reduction could misbehave."""
-    den = lcm(a.x.denominator, a.y.denominator)
-    u, v = a.x * den, a.y * den
-    if a.field.is_rational:
-        nrm = int(u)
-    else:
-        nrm = int(u * u - v * v * a.field.d)
+    den, u, w = _integral(a)
+    nrm = u if a.field.is_rational else u * u - w * w * a.field.d
     return ell * abs(a.field.discriminant) * den * abs(nrm)
 
 
@@ -191,12 +205,7 @@ def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int,
     slots = [s for s in _field_slots(a.field, bound) if s.p not in excl]
     if not slots:
         raise DomainError(f"no prime of norm <= {bound} is counted for {a}")
-    xn, xd, yn, yd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
-    d = a.field.d or 0
-    counts: Counter = Counter()
-    for slot in slots:
-        counts[_slot_vk(xn, xd, yn, yd, d, slot, ell)] += 1
-    return counts, len(slots), excluded
+    return _vk_counts(a, ell, slots), len(slots), excluded
 
 
 def empirical_density(a: Element, ell: int, bound: int = 10 ** 5) -> ScanReport:

@@ -288,6 +288,41 @@ class TestExitCodes:
         assert err.startswith("invariant failure:") and "Traceback" not in err
 
 
+class TestClosedPipe:
+    """A reader that stops early, as `| head -1` does, gets no traceback."""
+
+    ARGV = [["tables", "--which", "1"],
+            ["scan", "--ell", "2", "--field", "Q", "--a", "2", "--bound", "20000"]]
+
+    @staticmethod
+    def start(argv, stdout):
+        src = str(Path(ordens.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.Popen([sys.executable, "-m", "ordens.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_read_one_line_then_close(self, argv):
+        proc = self.start(argv, subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 141)
+        assert first.strip() and "Traceback" not in err and err == ""
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_reader_gone_before_the_first_line(self, argv):
+        # The read end closes before the child writes, so its first write fails.
+        r, w = os.pipe()
+        os.close(r)
+        proc = self.start(argv, w)
+        os.close(w)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and err == b""
+
+
 class TestSharedParser:
     """One parser serves every main call of a process without carrying state."""
 

@@ -206,6 +206,13 @@ class TestParsing:
         assert parse_element("2^9", QQ) == elem(QQ, 512)
         assert parse_element("3*i", GAUSS) == elem(GAUSS, 0, 3)
 
+    def test_leading_sign_binds_before_power(self):
+        # the sign belongs to the atom: -2^2 is (-2)^2, and -1*2^2 negates the power
+        assert parse_element("-2^2", QQ) == elem(QQ, 4)
+        assert parse_element("-1*2^2", QQ) == elem(QQ, -4)
+        assert parse_element("-5^3", QQ) == elem(QQ, -125)
+        assert parse_element("-2*sqrt(3)^2", RT3) == elem(RT3, 12)
+
     def test_element_errors(self):
         with pytest.raises(ParseError):
             parse_element("i", QQ)

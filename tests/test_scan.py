@@ -1,10 +1,14 @@
-"""Prime enumeration, order valuations, scan reports, certificates."""
+"""Slots, order valuations against a brute-force oracle, scan reports, certificates."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -19,7 +23,8 @@ from ordens import (
     split_fraction,
     total_degree,
 )
-from ordens.scan import MAX_BOUND, PrimeSlot, _bad_modulus, _slot_vk, sieve_primes
+from ordens.field import valuation
+from ordens.scan import MAX_BOUND, PrimeSlot, _bad_modulus, _scan_vk, _vk_counts, sieve_primes
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -30,8 +35,8 @@ def elem(field, x, y=0):
 
 
 def slot_vk(a, slot, ell):
-    return _slot_vk(a.x.numerator, a.x.denominator, a.y.numerator,
-                    a.y.denominator, a.field.d or 0, slot, ell)
+    (vk,) = _vk_counts(a, ell, [slot])
+    return vk
 
 
 def order_valuation(a, slot, ell):
@@ -50,6 +55,74 @@ def nonpower_certificate(c, ell, bound=10 ** 4):
             if k == v:
                 return slot
     return None
+
+
+def brute_vk(a, slot, ell):
+    """(v, k) of a at slot by multiplying its reduction until it reaches 1."""
+    p, d = slot.p, a.field.d or 0
+    x = a.x.numerator * pow(a.x.denominator, -1, p) % p
+    y = a.y.numerator * pow(a.y.denominator, -1, p) % p
+    if slot.kind == "split":
+        one, c = 1, (x + y * (slot.sqrt_d or 0)) % p
+
+        def mul(s, t):
+            return s * t % p
+    elif p == 2:
+        # F_4 = F_2[w]/(w**2 + w + 1), w = (1 + sqrt d)/2, so sqrt(d) = 2w - 1
+        one, c = (1, 0), ((x - y) % 2, 0)
+
+        def mul(s, t):
+            return ((s[0] * t[0] + s[1] * t[1]) % 2,
+                    (s[0] * t[1] + s[1] * t[0] + s[1] * t[1]) % 2)
+    else:
+        one, c = (1, 0), (x, y)
+
+        def mul(s, t):
+            return ((s[0] * t[0] + d * s[1] * t[1]) % p, (s[0] * t[1] + s[1] * t[0]) % p)
+    assert c not in (0, (0, 0)), "an excluded prime reached the oracle"
+    order, w = 1, c
+    while w != one:
+        w = mul(w, c)
+        order += 1
+    return valuation(slot.norm - 1, ell), valuation(order, ell)
+
+
+@st.composite
+def scan_inputs(draw):
+    field = draw(st.sampled_from(FIELDS))
+
+    def coordinate():
+        return Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+
+    a = Element(field, coordinate(), Fraction(0) if field.is_rational else coordinate())
+    if a.is_zero:
+        a = Element(field, Fraction(2, 3))
+    return a, draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([30, 300, 1000, 2000]))
+
+
+class TestOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(scan_inputs())
+    def test_counts_match_brute_force_orders(self, inputs):
+        a, ell, bound = inputs
+        try:
+            counts, counted, excluded = _scan_vk(a, ell, bound)
+        except DomainError as exc:
+            assert str(exc).startswith("no prime of norm")
+            return
+        slots = [s for s in enumerate_slots(a.field, bound) if s.p not in excluded]
+        expected = Counter(brute_vk(a, s, ell) for s in slots)
+        assert counts == expected
+        assert counted == len(slots) == sum(counts.values())
+
+    @pytest.mark.parametrize("x", [2, Fraction(-7, 10), Fraction(5, 3), 12])
+    def test_no_power_cell_over_q_for_three(self, x):
+        a = elem(QQ, x)
+        counts, _, excluded = _scan_vk(a, 3, 2000)
+        p_two_mod_three = [p for p in sieve_primes(2000) if p not in excluded and p % 3 == 2]
+        assert counts[0, 0] == len(p_two_mod_three)
+        assert counts == Counter(brute_vk(a, s, 3) for s in enumerate_slots(QQ, 2000)
+                                 if s.p not in excluded)
 
 
 class TestEnumerate:
