@@ -8,8 +8,11 @@ F_p[T]/(T**2 - d) with hand-rolled pair arithmetic.  A scan condenses each
 slot into the pair (v, k) = (l-valuation of q - 1, l-valuation of the
 reduced element's order), from which both the valuation histogram and
 complete-splitting fractions are read off.  When v = 0, l does not divide the
-order, so the slot is (0, 0) with no power.  Reduction is over the common
-denominator of a = (u + w*sqrt(d)) / den: one inverse at most, none if den = 1.
+order, so the slot is (0, 0) with no power.  Otherwise x = red**e, with red the
+reduction and e = (q - 1)/l**v, has order dividing l**v: k counts the raisings
+of x to l until it is 1, and stops at k = v.  The two slots of a split p are
+adjacent and share v, e and the inverse of den, where a = (u + w*sqrt(d)) / den
+over the common denominator; counts go into one row per v, indexed by k.
 """
 
 from __future__ import annotations
@@ -154,8 +157,10 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
     w0, w1 = _pow_fp2(c0, c1, (p * p - 1) // ell ** v, p, dm)
     k = 0
     while (w0, w1) != (1, 0):
-        w0, w1 = _pow_fp2(w0, w1, ell, p, dm)
         k += 1
+        if k == v:
+            break
+        w0, w1 = _pow_fp2(w0, w1, ell, p, dm)
     return v, k
 
 
@@ -166,27 +171,41 @@ def _integral(a: Element) -> tuple[int, int, int]:
 
 
 def _vk_counts(a: Element, ell: int, slots: list[PrimeSlot]) -> Counter:
-    """Count the pairs (v, k) of a over the given slots."""
+    """Count the pairs (v, k) of a over the given slots, in one row per v."""
     den, u, w = _integral(a)
-    counts: Counter = Counter()
+    rows: dict[int, list[int]] = {}
+    last = 0
     for p, kind, _, s in slots:
         if kind != "split":
-            counts[_inert_vk(u, w, den, a.field.d, p, ell)] += 1
+            iv, ik = _inert_vk(u, w, den, a.field.d, p, ell)
+            rows.setdefault(iv, [0] * (iv + 1))[ik] += 1
             continue
         red = (u + w * s) % p if s else u % p
         if red == 0:
             raise DomainError(f"reduction mod {p} is not a unit")
-        e, v, k = p - 1, 0, 0
-        while e % ell == 0:
-            e //= ell
-            v += 1
+        if p != last:
+            last = p
+            if ell == 2:
+                v = ((p - 1) & (1 - p)).bit_length() - 1
+                e = (p - 1) >> v
+            else:
+                e, v = p - 1, 0
+                while e % ell == 0:
+                    e //= ell
+                    v += 1
+            row = rows.setdefault(v, [0] * (v + 1))
+            inv = pow(den, -1, p) if v and den != 1 else 1
+        k = 0
         if v:
-            x = pow(red if den == 1 else red * pow(den, -1, p), e, p)
+            x = pow(red * inv, e, p)
             while x != 1:
-                x = pow(x, ell, p)
                 k += 1
-        counts[v, k] += 1
-    return counts
+                if k == v:
+                    break
+                x = x * x % p if ell == 2 else pow(x, ell, p)
+        row[k] += 1
+    return Counter({(v, k): c for v, row in rows.items()
+                    for k, c in enumerate(row) if c})
 
 
 def _bad_modulus(a: Element, ell: int) -> int:

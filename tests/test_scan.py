@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from conftest import FIELDS
@@ -125,6 +126,33 @@ class TestOracle:
                                  if s.p not in excluded)
 
 
+@st.composite
+def identity_inputs(draw):
+    a, ell, bound = draw(scan_inputs())
+    return a, ell, bound, draw(st.sampled_from([m for m in range(2, 8) if m % ell]))
+
+
+class TestIdentities:
+    """Galois and power identities of the (v, k) counts on one shared slot list."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(identity_inputs())
+    def test_conjugates_and_powers(self, inputs):
+        a, ell, bound, m = inputs
+        compared = [a, a.conjugate(), a ** m, a ** ell]
+        bad = prod(_bad_modulus(b, ell) for b in compared)
+        slots = [s for s in enumerate_slots(a.field, bound) if bad % s.p]
+        counts = _vk_counts(a, ell, slots)
+        # conjugation swaps the two slots of a split p and fixes each inert one
+        assert _vk_counts(a.conjugate(), ell, slots) == counts
+        # l does not divide m, so x and x**m have the same l-part of the order
+        assert _vk_counts(a ** m, ell, slots) == counts
+        lowered: Counter = Counter()
+        for (v, k), c in counts.items():
+            lowered[v, max(k - 1, 0)] += c
+        assert _vk_counts(a ** ell, ell, slots) == lowered
+
+
 class TestEnumerate:
     def test_gaussian_slots_to_norm_twenty(self):
         got = list(enumerate_slots(GAUSS, 20))
@@ -189,6 +217,19 @@ class TestOrderValuation:
         s2 = PrimeSlot(5, "split", 5, 3)
         assert order_valuation(a, s1, 2) == 2
         assert order_valuation(a, s2, 2) == 1  # reduces to 4, order 2
+
+    def test_both_slots_of_a_split_prime_in_one_call(self):
+        slots = [PrimeSlot(5, "split", 5, 2), PrimeSlot(5, "split", 5, 3)]
+        assert _vk_counts(elem(GAUSS, 1, 1), 2, slots) == Counter({(2, 2): 1, (2, 1): 1})
+
+    def test_full_order_stops_at_v(self):
+        # 3 generates F_17^x, of order 16 = 2**4
+        assert slot_vk(elem(QQ, 3), PrimeSlot(17, "split", 17, None), 2) == (4, 4)
+
+    def test_nonunit_inside_a_slot_list_rejected(self):
+        slots = [PrimeSlot(p, "split", p, None) for p in (5, 7, 11)]
+        with pytest.raises(DomainError):
+            _vk_counts(elem(QQ, 7), 2, slots)
 
     def test_inert_arithmetic(self):
         # 3 is inert in Q(i); ord(i mod 3) divides 4 and is 4
