@@ -1,8 +1,9 @@
 """Exact arithmetic in Q and in quadratic fields Q(sqrt(d)).
 
-Elements are pairs of rationals x + y*sqrt(d) with d squarefree; Q is the
-degenerate case with no sqrt coordinate.  Everything here is exact big-int
-rational arithmetic -- no floating point is used anywhere in the package.
+Elements x + y*sqrt(d), d squarefree, are held as integer triples (u, w, den)
+with x = u/den, y = w/den, den > 0 and gcd(u, w, den) = 1; Q is the case w = 0.
+Everything here is exact big-int arithmetic -- no floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class FieldMismatch(ValueError):
@@ -77,102 +78,140 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Element:
-    """x + y*sqrt(d) with exact rational coordinates, canonical by Fraction."""
+    """(u + w*sqrt(d)) / den with den > 0 and gcd(u, w, den) = 1.
 
+    That triple is canonical, so equality and hashing compare ints; every
+    operation is integer arithmetic and one gcd.  x and y are Fractions.
+    """
+
+    __slots__ = ("field", "u", "w", "den")
     field: FieldSpec
-    x: Fraction
-    y: Fraction = Fraction(0)
+    u: int
+    w: int
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        if self.field.is_rational and self.y != 0:
+    def __new__(cls, field: FieldSpec, x: int | Fraction, y: int | Fraction = 0) -> Element:
+        x, y = Fraction(x), Fraction(y)
+        if field.is_rational and y:
             raise DomainError("rational elements have no sqrt coordinate")
+        return _make(field, x.numerator * y.denominator, y.numerator * x.denominator,
+                     x.denominator * y.denominator)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.u, self.den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.w, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return not (self.u or self.w)
+
+    def __reduce__(self):  # copy and pickle rebuild through __new__: setattr is frozen
+        return Element, (self.field, self.x, self.y)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Element:
+            return NotImplemented
+        return (self.u == other.u and self.w == other.w and self.den == other.den
+                and self.field == other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.field.d, self.u, self.w, self.den))
 
     def _coerce(self, other: object) -> Element:
-        if isinstance(other, Element):
+        if type(other) is Element:
             if other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Element(self.field, Fraction(other))
+            return Element(self.field, other)
         raise TypeError(f"cannot interpret {other!r} as a field element")
 
     def __add__(self, other: Element | int | Fraction) -> Element:
         o = self._coerce(other)
-        return Element(self.field, self.x + o.x, self.y + o.y)
+        return _make(self.field, self.u * o.den + o.u * self.den,
+                     self.w * o.den + o.w * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: Element | int | Fraction) -> Element:
-        o = self._coerce(other)
-        return Element(self.field, self.x - o.x, self.y - o.y)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other: Element | int | Fraction) -> Element:
         return self._coerce(other) - self
 
     def __neg__(self) -> Element:
-        return Element(self.field, -self.x, -self.y)
+        return _new(self.field, -self.u, -self.w, self.den)
 
     def __mul__(self, other: Element | int | Fraction) -> Element:
         o = self._coerce(other)
-        d = self.field.d or 0
-        return Element(
-            self.field,
-            self.x * o.x + self.y * o.y * d,
-            self.x * o.y + self.y * o.x,
-        )
+        return _make(self.field, self.u * o.u + self.w * o.w * (self.field.d or 0),
+                     self.u * o.w + self.w * o.u, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Element | int | Fraction) -> Element:
+        # self / o = self * conjugate(o) / norm(o), with norm(o) = n / o.den**2
         o = self._coerce(other)
         if o.is_zero:
             raise DomainError("division by zero")
-        if self.field.is_rational:
-            return Element(self.field, self.x / o.x)
-        n = o.norm()  # equals o * conjugate(o) in the quadratic case
-        num = self * o.conjugate()
-        return Element(self.field, num.x / n, num.y / n)
+        d = self.field.d or 0
+        n = o.u * o.u - o.w * o.w * d
+        return _make(self.field, (self.u * o.u - self.w * o.w * d) * o.den,
+                     (self.w * o.u - self.u * o.w) * o.den, self.den * n)
 
     def __rtruediv__(self, other: Element | int | Fraction) -> Element:
         return self._coerce(other) / self
 
     def __pow__(self, k: int) -> Element:
         if k < 0:
-            return (Element(self.field, 1) / self) ** (-k)
-        acc = Element(self.field, 1)
+            return (1 / self) ** -k
+        acc = _new(self.field, 1, 0, 1)
         base = self
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def conjugate(self) -> Element:
-        return Element(self.field, self.x, -self.y)
+        return _new(self.field, self.u, -self.w, self.den)
 
     def norm(self) -> Fraction:
         # degree-1 convention for Q: norm(x) = x
         if self.field.is_rational:
-            return self.x
-        return self.x * self.x - self.y * self.y * self.field.d
+            return Fraction(self.u, self.den)
+        return Fraction(self.u * self.u - self.w * self.w * self.field.d, self.den * self.den)
 
     def trace(self) -> Fraction:
         # degree-1 convention for Q: trace(x) = x
-        if self.field.is_rational:
-            return self.x
-        return 2 * self.x
+        return Fraction(self.u if self.field.is_rational else 2 * self.u, self.den)
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _new(field: FieldSpec, u: int, w: int, den: int) -> Element:
+    """The element (u + w*sqrt(d)) / den of a triple already in lowest terms."""
+    e = object.__new__(Element)
+    object.__setattr__(e, "field", field)
+    object.__setattr__(e, "u", u)
+    object.__setattr__(e, "w", w)
+    object.__setattr__(e, "den", den)
+    return e
+
+
+def _make(field: FieldSpec, u: int, w: int, den: int) -> Element:
+    """The element (u + w*sqrt(d)) / den for any den != 0, in lowest terms."""
+    g = gcd(u, w, den) if den > 0 else -gcd(u, w, den)
+    return _new(field, u // g, w // g, den // g)
 
 
 def valuation(n: int, ell: int) -> int:

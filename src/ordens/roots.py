@@ -145,12 +145,13 @@ def decompose(a: Element, ell: int) -> Decomposition:
     """Maximal-depth power-times-unit normal form of a.
 
     Searches depth upward, carrying for each unit xi the full set of
-    ell**depth-th roots of a/xi (breadth-first over lth_roots); feasibility
-    is downward closed, so the first empty level is conclusive.  Among
-    units reaching the maximal depth the one of minimal multiplicative
-    order wins (canonical order breaks ties), which absorbs absorbable
-    units into the base; the base itself is the lexicographically largest
-    root by coordinates, so output is deterministic.
+    ell**depth-th roots of a/xi (breadth-first over lth_roots); every root of
+    unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so a/xi is
+    a * conjugate(xi).  Feasibility is downward closed, so the first empty
+    level is conclusive.  Among units reaching the maximal depth the one of
+    minimal multiplicative order wins (canonical order breaks ties), which
+    absorbs absorbable units into the base; the base itself is the
+    lexicographically largest root by coordinates, so output is deterministic.
     """
     if a.is_zero:
         raise DomainError("cannot decompose zero")
@@ -158,7 +159,7 @@ def decompose(a: Element, ell: int) -> Decomposition:
         return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
     orders = unit_orders(a.field)
-    level: dict[Element, set[Element]] = {xi: {a / xi} for xi in mu}
+    level: dict[Element, set[Element]] = {xi: {a * xi.conjugate()} for xi in mu}
     winners = level
     depth = 0
     while True:

@@ -17,11 +17,11 @@ over the common denominator; counts go into one row per v, indexed by k.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple
 
 from .density import density
@@ -164,15 +164,9 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
     return v, k
 
 
-def _integral(a: Element) -> tuple[int, int, int]:
-    """(den, u, w) with a = (u + w*sqrt(d)) / den and den the common denominator."""
-    den = lcm(a.x.denominator, a.y.denominator)
-    return den, int(a.x * den), int(a.y * den)
-
-
 def _vk_counts(a: Element, ell: int, slots: list[PrimeSlot]) -> Counter:
     """Count the pairs (v, k) of a over the given slots, in one row per v."""
-    den, u, w = _integral(a)
+    den, u, w = a.den, a.u, a.w
     rows: dict[int, list[int]] = {}
     last = 0
     for p, kind, _, s in slots:
@@ -210,21 +204,32 @@ def _vk_counts(a: Element, ell: int, slots: list[PrimeSlot]) -> Counter:
 
 def _bad_modulus(a: Element, ell: int) -> int:
     """Product sweeping up every prime where reduction could misbehave."""
-    den, u, w = _integral(a)
+    u, w = a.u, a.w
     nrm = u if a.field.is_rational else u * u - w * w * a.field.d
-    return ell * abs(a.field.discriminant) * den * abs(nrm)
+    return ell * abs(a.field.discriminant) * a.den * abs(nrm)
 
 
 @lru_cache(maxsize=64)
 def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int, ...]]:
     """(v, k) counts over all good slots, plus counted and excluded primes."""
-    bad = _bad_modulus(a, ell)
-    excluded = tuple(p for p in sieve_primes(bound) if bad % p == 0)
-    excl = frozenset(excluded)
-    slots = [s for s in _field_slots(a.field, bound) if s.p not in excl]
+    excluded, rem = [], _bad_modulus(a, ell)
+    for p in sieve_primes(bound):
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            excluded.append(p)
+            rem //= p ** valuation(rem, p)
+    if 1 < rem <= bound:  # rem is 1 or a prime here, or has no factor <= bound
+        excluded.append(rem)
+    every, slots, start = _field_slots(a.field, bound), [], 0
+    for p in excluded:  # slots are sorted by p, so each p's slots are one run
+        i = bisect_left(every, (p,), start)
+        slots += every[start:i]
+        start = bisect_left(every, (p + 1,), i)
+    slots += every[start:]
     if not slots:
         raise DomainError(f"no prime of norm <= {bound} is counted for {a}")
-    return _vk_counts(a, ell, slots), len(slots), excluded
+    return _vk_counts(a, ell, slots), len(slots), tuple(excluded)
 
 
 def empirical_density(a: Element, ell: int, bound: int = 10 ** 5) -> ScanReport:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -94,6 +100,106 @@ class TestArith:
                 assert (a * b) * c == a * (b * c)
                 assert a * (b + c) == a * b + a * c
                 assert (a + b) + c == a + (b + c)
+
+
+# A reference model: an element as its Fraction pair (x, y), with d = 0 for Q.
+
+def ref_mul(a, b, d):
+    return a[0] * b[0] + a[1] * b[1] * d, a[0] * b[1] + a[1] * b[0]
+
+
+def ref_div(a, b, d):
+    n = b[0] * b[0] - b[1] * b[1] * d
+    x, y = ref_mul(a, (b[0], -b[1]), d)
+    return x / n, y / n
+
+
+def ref_pow(a, k, d):
+    if k < 0:
+        a, k = ref_div((Fraction(1), Fraction(0)), a, d), -k
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        acc = ref_mul(acc, a, d)
+    return acc
+
+
+@st.composite
+def element_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+
+    def coordinate():
+        return draw(st.fractions(-60, 60, max_denominator=40))
+
+    def element():
+        return Element(field, coordinate(), 0 if field.is_rational else coordinate())
+
+    return element(), element()
+
+
+def pair(e):
+    return e.x, e.y
+
+
+def is_canonical(e):
+    return e.den > 0 and gcd(e.u, e.w, e.den) == 1
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(element_pairs(), st.integers(-5, 5))
+    def test_arithmetic_matches_fraction_pairs(self, ab, k):
+        a, b = ab
+        d = a.field.d or 0
+        got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a, "conj": a.conjugate()}
+        want = {"+": (a.x + b.x, a.y + b.y), "-": (a.x - b.x, a.y - b.y),
+                "*": ref_mul(pair(a), pair(b), d), "neg": (-a.x, -a.y), "conj": (a.x, -a.y)}
+        if not b.is_zero:
+            got["/"], want["/"] = a / b, ref_div(pair(a), pair(b), d)
+        if not a.is_zero or k >= 0:
+            got["**"], want["**"] = a ** k, ref_pow(pair(a), k, d)
+        for op, e in got.items():
+            assert pair(e) == want[op], op
+            assert is_canonical(e), op
+            assert type(e.x) is Fraction and type(e.y) is Fraction
+        assert a.norm() == (a.x if a.field.is_rational else a.x * a.x - a.y * a.y * d)
+        assert a.trace() == (a.x if a.field.is_rational else 2 * a.x)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_triple_is_canonical(self, field):
+        half = Element(field, Fraction(2, 4))
+        assert half == Element(field, Fraction(1, 2))
+        assert hash(half) == hash(Element(field, Fraction(1, 2)))
+        assert (half.u, half.w, half.den) == (1, 0, 2)
+        assert (Element(field, 0).u, Element(field, 0).den) == (0, 1)
+        assert Element(field, Fraction(-3, 6)).den == 2
+        if not field.is_rational:
+            e = Element(field, Fraction(2, 4), Fraction(-6, 8))
+            assert e == Element(field, Fraction(1, 2), Fraction(-3, 4))
+            assert hash(e) == hash(Element(field, Fraction(1, 2), Fraction(-3, 4)))
+            assert (e.u, e.w, e.den) == (2, -3, 4)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_never_equals_ints_or_tuples(self, field):
+        one, zero = Element(field, 1), Element(field, 0)
+        assert one != 1 and zero != 0 and not one == 1
+        assert one != (field, 1, 0, 1) and one != (1, 0, 1) and one != (1, 0)
+        assert one != Element(FieldSpec(-1) if field.is_rational else QQ, 1)
+
+    def test_immutable(self):
+        e = elem(GAUSS, Fraction(1, 2), 3)
+        for name in ("x", "y", "u", "w", "den", "field", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 1)
+        with pytest.raises(AttributeError):
+            del e.u
+        assert e == elem(GAUSS, Fraction(1, 2), 3)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_copy_and_pickle_round_trip(self, field):
+        e = Element(field, Fraction(-7, 6), 0 if field.is_rational else Fraction(5, 4))
+        for back in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert back == e and hash(back) == hash(e)
+            assert (back.u, back.w, back.den) == (e.u, e.w, e.den)
 
 
 class TestConjugateNormTrace:

@@ -20,7 +20,7 @@ from ordens import (
     roots_of_unity,
     unit_order,
 )
-from ordens.roots import MAX_RESOLVENT_DEGREE
+from ordens.roots import MAX_RESOLVENT_DEGREE, unit_orders
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -123,6 +123,17 @@ def test_lth_roots_of_a_power_are_its_unit_twists(d, ell, x, y):
     field = FieldSpec(d)
     b = Element(field, x, y) if x or y else Element(field, 2)
     assert lth_roots(b ** ell, ell) == {b * z for z in roots_of_unity(field, ell)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, GAUSS, EISEN, FieldSpec(5)]),
+       st.fractions(-50, 50, max_denominator=30), st.fractions(-50, 50, max_denominator=30))
+def test_dividing_by_a_root_of_unity_multiplies_by_its_conjugate(field, x, y):
+    """decompose builds a/xi as a * conjugate(xi), since xi * conjugate(xi) = 1."""
+    a = Element(field, x, 0 if field.is_rational else y)
+    for xi in unit_orders(field):
+        assert xi * xi.conjugate() == Element(field, 1)
+        assert a * xi.conjugate() == a / xi
 
 
 class TestStrongIndivisibility:
