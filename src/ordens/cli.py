@@ -5,8 +5,8 @@ non-squarefree d, n > m, ...), 4 golden-table mismatch or failed internal
 invariant, 141 (128 + SIGPIPE) with no traceback when the reader closes
 stdout early, as `| head -1` does.
 
-Every command but selfcheck prints through _emit, which renders the
-command's json payload, its csv rows or its plain lines.
+Each subparser registers its command as args.run, and every command prints
+through _emit, which renders its json payload, its csv rows or its plain lines.
 
 The argument parser is built once per process, at the first main call rather
 than at import, and reused by every later call; a shell command calls main
@@ -78,40 +78,38 @@ def build_parser() -> argparse.ArgumentParser:
                                  "and binds before '^': -2^2 is 4, -1*2^2 is -4")
 
     d = sub.add_parser("density", help="exact density for a prescribed valuation")
+    d.set_defaults(run=_cmd_density)
     common(d)
     d.add_argument("--val", type=int, default=0, help="order valuation n (default 0)")
 
     k = sub.add_parser("kummer", help="relative and total Kummer degrees")
+    k.set_defaults(run=_cmd_kummer)
     common(k)
     k.add_argument("--m", type=int, required=True)
     k.add_argument("--n", type=int, required=True)
 
     dec = sub.add_parser("decompose", help="power-times-unit normal form")
+    dec.set_defaults(run=_cmd_decompose)
     common(dec)
 
     prof = sub.add_parser("profile", help="cyclotomic tower parameters")
+    prof.set_defaults(run=_cmd_profile)
     common(prof, element=False)
 
     s = sub.add_parser("scan", help="empirical density over primes of the field")
+    s.set_defaults(run=_cmd_scan)
     common(s)
     s.add_argument("--bound", type=int, default=10 ** 5, help="norm bound")
     s.add_argument("--compare", action="store_true",
                    help="include exact densities and the max error")
 
     t = sub.add_parser("tables", help="recompute a golden table and diff it")
+    t.set_defaults(run=_cmd_tables)
     t.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
 
-    sub.add_parser("selfcheck", help="golden tables plus closed-vs-series spot checks")
+    sc = sub.add_parser("selfcheck", help="golden tables plus closed-vs-series spot checks")
+    sc.set_defaults(run=_cmd_selfcheck)
     return p
-
-
-def _emit_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow([r.get(c, "") for c in CSV_HEADER])
-    return buf.getvalue().rstrip("\n")
 
 
 def _emit(out, fmt: str, lines: list[str], payload: dict,
@@ -123,7 +121,12 @@ def _emit(out, fmt: str, lines: list[str], payload: dict,
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True), file=out)
     elif fmt == "csv" and rows is not None:
-        print(_emit_csv(rows), file=out)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(CSV_HEADER)
+        for r in rows:
+            w.writerow([r.get(c, "") for c in CSV_HEADER])
+        print(buf.getvalue().rstrip("\n"), file=out)
     else:
         print("\n".join(lines), file=out)
 
@@ -228,13 +231,11 @@ def _cmd_tables(args, out) -> int:
 
 
 def _cmd_selfcheck(args, out) -> int:
-    failures = 0
+    lines, counts, checks = [], [], []
     for which in (1, 2, 3, 4):
-        _, diffs = tables.check_table(which)
-        status = "ok" if not diffs else f"{len(diffs)} diffs"
-        if diffs:
-            failures += 1
-        print(f"table {which}: {status}", file=out)
+        n = len(tables.check_table(which)[1])
+        counts.append({"table": which, "diffs": n})
+        lines.append(f"table {which}: {f'{n} diffs' if n else 'ok'}")
     spot = [("Q(sqrt 3)", "2", 3), ("Q(sqrt -3)", "8*zeta3", 3),
             ("Q(sqrt -1)", "4*i", 2), ("Q(sqrt 3)", "-81", 2),
             ("Q", "2", 2), ("Q(sqrt -2)", "12", 2)]
@@ -243,23 +244,14 @@ def _cmd_selfcheck(args, out) -> int:
         closed = density(a, ell).value
         series = density_series(a, ell).value
         ok = closed == series
-        if not ok:
-            failures += 1
-        print(f"series check {ftext} a={atext} l={ell}: closed={closed} "
-              f"series={series} {'ok' if ok else 'MISMATCH'}", file=out)
-    print(f"selfcheck {'passed' if not failures else 'FAILED'}", file=out)
-    return 4 if failures else 0
-
-
-_DISPATCH = {
-    "density": _cmd_density,
-    "kummer": _cmd_kummer,
-    "decompose": _cmd_decompose,
-    "profile": _cmd_profile,
-    "scan": _cmd_scan,
-    "tables": _cmd_tables,
-    "selfcheck": _cmd_selfcheck,
-}
+        checks.append({"field": ftext, "a": atext, "ell": ell, "closed": str(closed),
+                       "series": str(series), "ok": ok})
+        lines.append(f"series check {ftext} a={atext} l={ell}: closed={closed} "
+                     f"series={series} {'ok' if ok else 'MISMATCH'}")
+    passed = not any(c["diffs"] for c in counts) and all(c["ok"] for c in checks)
+    lines.append(f"selfcheck {'passed' if passed else 'FAILED'}")
+    _emit(out, args.format, lines, {"tables": counts, "series": checks, "passed": passed})
+    return 0 if passed else 4
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -272,7 +264,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if getattr(args, "ell", None) is not None:
             _check_ell(args.ell)
-        return _DISPATCH[args.command](args, out)
+        return args.run(args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,25 +90,20 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
     ellf = Fraction(ell)
 
     if ell != 2 or prof.has_zeta4:
-        if not (prof.has_zeta_ell or prof.has_zeta4):
-            # the l-th roots of unity live strictly above K
-            delta = Fraction(1, prof.degree)
-            if d <= t:
-                value = 1 - delta * (1 - Fraction(ell, ell + 1) * ellf ** (d - t))
-            else:
-                value = 1 - delta * Fraction(1, ell + 1) * ellf ** (t - d)
-            return DensityValue(value, "closed_form", "zeta-absent",
-                                (("d", d), ("t", t), ("degree", prof.degree)))
-        if dec.case is Case.POWER:
-            if d <= t:
-                value = Fraction(ell, ell + 1) * ellf ** (d - t)
-            else:
-                value = 1 - Fraction(1, ell + 1) * ellf ** (t - d)
-            return DensityValue(value, "closed_form", "zeta-present/power",
-                                (("d", d), ("t", t)))
-        value = Fraction(ell, ell + 1) * ellf ** (t - d - 2 * r)
-        return DensityValue(value, "closed_form", "zeta-present/power-unit",
-                            (("d", d), ("r", r), ("t", t)))
+        if dec.case is Case.POWER_TIMES_UNIT:
+            value = Fraction(ell, ell + 1) * ellf ** (t - d - 2 * r)
+            return DensityValue(value, "closed_form", "zeta-present/power-unit",
+                                (("d", d), ("r", r), ("t", t)))
+        # P(d, t): D(a) for a plain power when the l-th roots of unity lie in K
+        if d <= t:
+            power = Fraction(ell, ell + 1) * ellf ** (d - t)
+        else:
+            power = 1 - Fraction(1, ell + 1) * ellf ** (t - d)
+        if prof.has_zeta_ell or prof.has_zeta4:
+            return DensityValue(power, "closed_form", "zeta-present/power", (("d", d), ("t", t)))
+        # the l-th roots of unity live strictly above K, so a is a plain power
+        return DensityValue(1 - (1 - power) / prof.degree, "closed_form", "zeta-absent",
+                            (("d", d), ("t", t), ("degree", prof.degree)))
 
     # l = 2 and i not in K
     s = prof.zeta4_stall

@@ -2,8 +2,8 @@
 
 Elements x + y*sqrt(d), d squarefree, are held as integer triples (u, w, den)
 with x = u/den, y = w/den, den > 0 and gcd(u, w, den) = 1; Q is the case w = 0.
-Everything here is exact big-int arithmetic -- no floating point is used
-anywhere in the package.
+Arithmetic is exact and multiplicative (products, quotients, powers, negation,
+conjugation); the one float in the package is cli._approx's 6-digit display.
 """
 
 from __future__ import annotations
@@ -124,38 +124,21 @@ class Element:
         return hash((self.field.d, self.u, self.w, self.den))
 
     def _coerce(self, other: object) -> Element:
-        if type(other) is Element:
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Element(self.field, other)
-        raise TypeError(f"cannot interpret {other!r} as a field element")
-
-    def __add__(self, other: Element | int | Fraction) -> Element:
-        o = self._coerce(other)
-        return _make(self.field, self.u * o.den + o.u * self.den,
-                     self.w * o.den + o.w * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Element | int | Fraction) -> Element:
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other: Element | int | Fraction) -> Element:
-        return self._coerce(other) - self
+        if type(other) is not Element:
+            raise TypeError(f"cannot interpret {other!r} as a field element")
+        if other.field != self.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+        return other
 
     def __neg__(self) -> Element:
         return _new(self.field, -self.u, -self.w, self.den)
 
-    def __mul__(self, other: Element | int | Fraction) -> Element:
+    def __mul__(self, other: Element) -> Element:
         o = self._coerce(other)
         return _make(self.field, self.u * o.u + self.w * o.w * (self.field.d or 0),
                      self.u * o.w + self.w * o.u, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Element | int | Fraction) -> Element:
+    def __truediv__(self, other: Element) -> Element:
         # self / o = self * conjugate(o) / norm(o), with norm(o) = n / o.den**2
         o = self._coerce(other)
         if o.is_zero:
@@ -165,12 +148,9 @@ class Element:
         return _make(self.field, (self.u * o.u - self.w * o.w * d) * o.den,
                      (self.w * o.u - self.u * o.w) * o.den, self.den * n)
 
-    def __rtruediv__(self, other: Element | int | Fraction) -> Element:
-        return self._coerce(other) / self
-
     def __pow__(self, k: int) -> Element:
         if k < 0:
-            return (1 / self) ** -k
+            return (_new(self.field, 1, 0, 1) / self) ** -k
         acc = _new(self.field, 1, 0, 1)
         base = self
         while k:

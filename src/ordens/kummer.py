@@ -39,6 +39,9 @@ class KummerQuery:
     special: bool
 
     def __post_init__(self) -> None:
+        if self.decomp.ell != self.ell or self.profile.ell != self.ell:
+            raise DomainError(f"normal form (l = {self.decomp.ell}) and profile "
+                              f"(l = {self.profile.ell}) must be for l = {self.ell}")
         if self.m < 1:
             raise DomainError("cyclotomic level m must be >= 1")
         if not 0 <= self.n <= self.m:

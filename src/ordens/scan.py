@@ -18,28 +18,23 @@ over the common denominator; counts go into one row per v, indexed by k.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from math import isqrt
 
 from .density import density
 from .field import DomainError, Element, FieldSpec, valuation
 
-
-class PrimeSlot(NamedTuple):
-    p: int
-    kind: str            # "split" (degree one) or "inert"
-    norm: int            # p or p**2
-    sqrt_d: int | None   # residue of sqrt(d) mod p for split quadratic slots
+# p: the rational prime under the slot; kind: "split" (degree one) or "inert";
+# norm: p or p**2; sqrt_d: the residue of sqrt(d) mod p for a split slot of a
+# quadratic field, else None.
+PrimeSlot = namedtuple("PrimeSlot", "p kind norm sqrt_d")
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    field: FieldSpec
-    a: Element
-    ell: int
     bound: int
     counted: int
     excluded: tuple[int, ...]
@@ -61,7 +56,7 @@ def sieve_primes(bound: int) -> tuple[int, ...]:
         return ()
     flags = bytearray([1]) * (bound + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, int(bound ** 0.5) + 1):
+    for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return tuple(i for i, f in enumerate(flags) if f)
@@ -232,7 +227,7 @@ def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int,
     return _vk_counts(a, ell, slots), len(slots), tuple(excluded)
 
 
-def empirical_density(a: Element, ell: int, bound: int = 10 ** 5) -> ScanReport:
+def empirical_density(a: Element, ell: int, bound: int) -> ScanReport:
     """Histogram the order valuations of a over all primes of norm <= bound."""
     if a.is_zero:
         raise DomainError("cannot scan the zero element")
@@ -244,12 +239,11 @@ def empirical_density(a: Element, ell: int, bound: int = 10 ** 5) -> ScanReport:
     empirical = {n: Fraction(histogram.get(n, 0), counted) for n in range(top + 1)}
     exact = {n: density(a, ell, n).value for n in range(top + 1)}
     err = max(abs(empirical[n] - exact[n]) for n in range(top + 1))
-    return ScanReport(a.field, a, ell, bound, counted, excluded,
+    return ScanReport(bound, counted, excluded,
                       dict(sorted(histogram.items())), empirical, exact, err)
 
 
-def split_fraction(a: Element, ell: int, m: int, n: int,
-                   bound: int = 10 ** 6) -> Fraction:
+def split_fraction(a: Element, ell: int, m: int, n: int, bound: int) -> Fraction:
     """Fraction of slots that split completely in K(zeta_{l^m}, a**(1/l**n)).
 
     A slot of norm q qualifies when q = 1 mod l**m and the reduction of a

