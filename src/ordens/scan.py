@@ -2,17 +2,23 @@
 
 Primes are enumerated as slots: one slot per degree-one prime (split
 rational primes contribute two, one per square root of d mod p) and one
-per inert prime entering at norm p**2.  Reduction of an element into the
-residue field is coordinate-wise; inert slots at odd p live in
-F_p[T]/(T**2 - d) with hand-rolled pair arithmetic.  A scan condenses each
-slot into the pair (v, k) = (l-valuation of q - 1, l-valuation of the
-reduced element's order), from which both the valuation histogram and
-complete-splitting fractions are read off.  When v = 0, l does not divide the
-order, so the slot is (0, 0) with no power.  Otherwise x = red**e, with red the
-reduction and e = (q - 1)/l**v, has order dividing l**v: k counts the raisings
-of x to l until it is 1, and stops at k = v.  The two slots of a split p are
-adjacent and share v, e and the inverse of den, where a = (u + w*sqrt(d)) / den
-over the common denominator; counts go into one row per v, indexed by k.
+per inert prime entering at norm p**2.  Slots are held as columns: the
+split primes ps (a split p twice), their roots ss of d mod p (min r, then
+max r; None over Q, where ps is the sieve itself) and the inert primes.
+Whether p splits is the Kronecker character (disc/p), a function of p mod
+|disc|, so Euler's test runs once per residue class.  A root takes one pow
+for p = 3 mod 4, Atkin's formula for p = 5 mod 8, Tonelli-Shanks otherwise.
+
+A scan condenses each slot into (v, k) = (l-valuation of q - 1, l-valuation
+of the reduced element's order), from which both the valuation histogram
+and complete-splitting fractions are read off.  Split slots are grouped by
+v once per field, bound and l, with e = (p - 1)/l**v beside each p, and
+excluded primes are cut out of each group by bisect.  Over a group, C-level
+maps reduce a = (u + w*sqrt(d))/den to red mod p.  When v = 0, l does not
+divide the order and each slot is (0, 0) with no power.  Otherwise
+x = red**e has order dividing l**v, and list.count after each l-th power
+of x reads the cells k = 0, 1, ... up to v.  Inert slots at odd p live in
+F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import isqrt
+from operator import add, itemgetter, mod, mul
 
 from .density import density
 from .field import DomainError, Element, FieldSpec, valuation
@@ -44,7 +52,9 @@ class ScanReport:
     max_abs_error: Fraction
 
 
-# Largest norm bound of a scan: the sieve holds bound + 1 bytes.
+# Largest norm bound of a scan.  A scan at this bound over a quadratic field
+# peaks near 90 MB (Python 3.11): the sieve's bytes while it runs, its
+# 664,579 primes, and the slot columns as arrays of machine words.
 MAX_BOUND = 10 ** 7
 
 
@@ -59,17 +69,17 @@ def sieve_primes(bound: int) -> tuple[int, ...]:
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(bound + 1), flags))
 
 
-def _tonelli(n: int, p: int) -> int:
-    """A square root of n mod an odd prime p; n must be a residue."""
-    n %= p
-    if n == 0:
-        return 0
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of a nonzero residue n mod an odd prime p."""
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
+    if p % 8 == 5:  # Atkin: with t = (2n)**((p-5)/8), i = 2n*t**2 squares to -1
+        t = pow(2 * n, (p - 5) // 8, p)
+        return n * t * (2 * n * t * t - 1) % p
+    q, s = p - 1, 0  # Tonelli-Shanks
     while q % 2 == 0:
         q //= 2
         s += 1
@@ -91,38 +101,38 @@ def _tonelli(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _field_slots(field: FieldSpec, bound: int) -> tuple[PrimeSlot, ...]:
+def _field_slots(field: FieldSpec, bound: int) -> tuple:
+    """Slot columns (ps, ss, inert ps) of the primes of norm <= bound."""
     primes = sieve_primes(bound)
     if field.is_rational:
-        return tuple(PrimeSlot(p, "split", p, None) for p in primes)
-    d = field.d
-    disc = field.discriminant
-    slots: list[PrimeSlot] = []
+        return primes, None, ()
+    from array import array  # here, so that commands that scan nothing skip its import
+    d, disc = field.d, field.discriminant
+    ps, ss, inert = array("l"), array("l"), []
+    splits: dict[int, bool] = {}  # p mod |disc| -> p splits
+    size = abs(disc)
     for p in primes:
-        if disc % p == 0:
-            continue  # ramified
-        if p == 2:
-            # disc odd here, i.e. d = 1 mod 4; split iff d = 1 mod 8
-            if d % 8 == 1:
-                slots.append(PrimeSlot(2, "split", 2, 1))
-                slots.append(PrimeSlot(2, "split", 2, 1))
-            elif 4 <= bound:
-                slots.append(PrimeSlot(2, "inert", 4, None))
-            continue
-        if pow(d % p, (p - 1) // 2, p) == 1:
-            r = _tonelli(d % p, p)
-            slots.append(PrimeSlot(p, "split", p, min(r, p - r)))
-            slots.append(PrimeSlot(p, "split", p, max(r, p - r)))
-        elif p * p <= bound:
-            slots.append(PrimeSlot(p, "inert", p * p, None))
-    return tuple(slots)
+        split = splits.get(p % size)
+        if split is None:  # p is the first of its class; (disc/2) = 1 iff d = 1 mod 8
+            split = splits[p % size] = disc % p != 0 and (
+                pow(d % p, (p - 1) // 2, p) == 1 if p > 2 else d % 8 == 1)
+        if split:
+            r = _sqrt_mod(d % p, p) if p > 2 else 1
+            ps.extend((p, p))
+            ss.extend((r, p - r) if r < p - r else (p - r, r))
+        elif p * p <= bound and disc % p:
+            inert.append(p)
+    return ps, ss, tuple(inert)
 
 
 def enumerate_slots(field: FieldSpec, norm_bound: int) -> tuple[PrimeSlot, ...]:
     """Primes of the field with norm <= norm_bound, ramified ones skipped."""
     if norm_bound < 2:
         raise DomainError("norm bound must be at least 2")
-    return _field_slots(field, norm_bound)
+    ps, ss, inert = _field_slots(field, norm_bound)
+    split = map(PrimeSlot, ps, repeat("split"), ps, repeat(None) if ss is None else ss)
+    inert_slots = (PrimeSlot(p, "inert", p * p, None) for p in inert)
+    return tuple(sorted(chain(split, inert_slots), key=itemgetter(0)))
 
 
 def _pow_fp2(c0: int, c1: int, e: int, p: int, d: int) -> tuple[int, int]:
@@ -159,40 +169,61 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
     return v, k
 
 
-def _vk_counts(a: Element, ell: int, slots: list[PrimeSlot]) -> Counter:
-    """Count the pairs (v, k) of a over the given slots, in one row per v."""
-    den, u, w = a.den, a.u, a.w
-    rows: dict[int, list[int]] = {}
+def _v_groups(ps, ss, ell: int) -> dict[int, tuple]:
+    """Split slot columns grouped by v = v_l(p - 1): {v: (ps, ss, es)}, e = (p - 1)/l**v."""
+    from array import array
+    groups: dict[int, tuple] = {}
     last = 0
-    for p, kind, _, s in slots:
-        if kind != "split":
-            iv, ik = _inert_vk(u, w, den, a.field.d, p, ell)
-            rows.setdefault(iv, [0] * (iv + 1))[ik] += 1
-            continue
-        red = (u + w * s) % p if s else u % p
-        if red == 0:
-            raise DomainError(f"reduction mod {p} is not a unit")
+    for i, p in enumerate(ps):
         if p != last:
             last = p
-            if ell == 2:
-                v = ((p - 1) & (1 - p)).bit_length() - 1
-                e = (p - 1) >> v
-            else:
-                e, v = p - 1, 0
-                while e % ell == 0:
-                    e //= ell
-                    v += 1
-            row = rows.setdefault(v, [0] * (v + 1))
-            inv = pow(den, -1, p) if v and den != 1 else 1
-        k = 0
-        if v:
-            x = pow(red * inv, e, p)
-            while x != 1:
-                k += 1
-                if k == v:
-                    break
-                x = x * x % p if ell == 2 else pow(x, ell, p)
-        row[k] += 1
+            e, v = p - 1, 0
+            while e % ell == 0:
+                e //= ell
+                v += 1
+            cols = groups.get(v)
+            if cols is None:
+                cols = groups[v] = (array("l"), None if ss is None else array("l"), array("l"))
+        cols[0].append(p)
+        cols[2].append(e)
+        if ss is not None:
+            cols[1].append(ss[i])
+    return groups
+
+
+@lru_cache(maxsize=64)
+def _split_groups(field: FieldSpec, bound: int, ell: int) -> dict[int, tuple]:
+    ps, ss, _ = _field_slots(field, bound)
+    return _v_groups(ps, ss, ell)
+
+
+def _vk_counts(a: Element, ell: int, groups: dict[int, tuple], inert: list[int]) -> Counter:
+    """Count the pairs (v, k) of a over the split slot groups and the inert primes."""
+    den, u, w = a.den, a.u, a.w
+    rows: dict[int, list[int]] = {}
+    for v, (ps, ss, es) in groups.items():
+        reds = (map(mod, repeat(u), ps) if ss is None
+                else map(mod, map(add, repeat(u), map(mul, repeat(w), ss)), ps))
+        if not v:  # l does not divide the order: no power
+            xs = list(reds)
+        else:
+            if den != 1:
+                reds = map(mul, reds, map(pow, repeat(den), repeat(-1), ps))
+            xs = list(map(pow, reds, es, ps))
+        if 0 in xs:  # a unit's power is never 0
+            raise DomainError(f"reduction mod {ps[xs.index(0)]} is not a unit")
+        row = rows[v] = [0] * (v + 1)
+        done = row[0] = xs.count(1) if v else len(xs)
+        for k in range(1, v):
+            if done == len(xs):
+                break
+            xs = list(map(pow, xs, repeat(ell), ps))
+            row[k] = xs.count(1) - done
+            done += row[k]
+        row[v] += len(xs) - done
+    for p in inert:
+        iv, ik = _inert_vk(u, w, den, a.field.d, p, ell)
+        rows.setdefault(iv, [0] * (iv + 1))[ik] += 1
     return Counter({(v, k): c for v, row in rows.items()
                     for k, c in enumerate(row) if c})
 
@@ -202,6 +233,16 @@ def _bad_modulus(a: Element, ell: int) -> int:
     u, w = a.u, a.w
     nrm = u if a.field.is_rational else u * u - w * w * a.field.d
     return ell * abs(a.field.discriminant) * a.den * abs(nrm)
+
+
+def _cut(cols: tuple, excluded: list[int]) -> tuple:
+    """The group's columns without the slots of the excluded primes."""
+    for p in excluded:  # each p's slots are one run of the sorted ps
+        i = bisect_left(cols[0], p)
+        j = bisect_left(cols[0], p + 1, i)
+        if i < j:
+            cols = tuple(None if col is None else col[:i] + col[j:] for col in cols)
+    return cols
 
 
 @lru_cache(maxsize=64)
@@ -216,15 +257,12 @@ def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int,
             rem //= p ** valuation(rem, p)
     if 1 < rem <= bound:  # rem is 1 or a prime here, or has no factor <= bound
         excluded.append(rem)
-    every, slots, start = _field_slots(a.field, bound), [], 0
-    for p in excluded:  # slots are sorted by p, so each p's slots are one run
-        i = bisect_left(every, (p,), start)
-        slots += every[start:i]
-        start = bisect_left(every, (p + 1,), i)
-    slots += every[start:]
-    if not slots:
+    groups = {v: _cut(cols, excluded) for v, cols in _split_groups(a.field, bound, ell).items()}
+    inert = [p for p in _field_slots(a.field, bound)[2] if p not in excluded]
+    counted = sum(len(ps) for ps, _, _ in groups.values()) + len(inert)
+    if not counted:
         raise DomainError(f"no prime of norm <= {bound} is counted for {a}")
-    return _vk_counts(a, ell, slots), len(slots), tuple(excluded)
+    return _vk_counts(a, ell, groups, inert), counted, tuple(excluded)
 
 
 def empirical_density(a: Element, ell: int, bound: int) -> ScanReport:

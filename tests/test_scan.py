@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from itertools import repeat
+from math import isqrt, prod
+from operator import indexOf
 
 import pytest
 from conftest import FIELDS
@@ -25,7 +27,15 @@ from ordens import (
     total_degree,
 )
 from ordens.field import valuation
-from ordens.scan import MAX_BOUND, PrimeSlot, _bad_modulus, _scan_vk, _vk_counts, sieve_primes
+from ordens.scan import (
+    MAX_BOUND,
+    PrimeSlot,
+    _bad_modulus,
+    _scan_vk,
+    _v_groups,
+    _vk_counts,
+    sieve_primes,
+)
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -35,8 +45,16 @@ def elem(field, x, y=0):
     return Element(field, Fraction(x), Fraction(y))
 
 
+def vk_counts(a, ell, slots):
+    """The kernel's (v, k) counts over a slot list, grouped as _scan_vk groups them."""
+    split = [s for s in slots if s.kind == "split"]
+    ss = None if a.field.is_rational else [s.sqrt_d for s in split]
+    groups = _v_groups([s.p for s in split], ss, ell)
+    return _vk_counts(a, ell, groups, [s.p for s in slots if s.kind == "inert"])
+
+
 def slot_vk(a, slot, ell):
-    (vk,) = _vk_counts(a, ell, [slot])
+    (vk,) = vk_counts(a, ell, [slot])
     return vk
 
 
@@ -88,6 +106,14 @@ def brute_vk(a, slot, ell):
     return valuation(slot.norm - 1, ell), valuation(order, ell)
 
 
+def assert_scan_matches_oracle(a, ell, bound):
+    counts, counted, excluded = _scan_vk(a, ell, bound)
+    slots = [s for s in enumerate_slots(a.field, bound) if s.p not in excluded]
+    assert counts == Counter(brute_vk(a, s, ell) for s in slots)
+    assert counted == len(slots) == sum(counts.values())
+    return excluded
+
+
 @st.composite
 def scan_inputs(draw):
     field = draw(st.sampled_from(FIELDS))
@@ -105,16 +131,10 @@ class TestOracle:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(scan_inputs())
     def test_counts_match_brute_force_orders(self, inputs):
-        a, ell, bound = inputs
         try:
-            counts, counted, excluded = _scan_vk(a, ell, bound)
+            assert_scan_matches_oracle(*inputs)
         except DomainError as exc:
             assert str(exc).startswith("no prime of norm")
-            return
-        slots = [s for s in enumerate_slots(a.field, bound) if s.p not in excluded]
-        expected = Counter(brute_vk(a, s, ell) for s in slots)
-        assert counts == expected
-        assert counted == len(slots) == sum(counts.values())
 
     @pytest.mark.parametrize("x", [2, Fraction(-7, 10), Fraction(5, 3), 12])
     def test_no_power_cell_over_q_for_three(self, x):
@@ -132,6 +152,40 @@ def identity_inputs(draw):
     return a, ell, bound, draw(st.sampled_from([m for m in range(2, 8) if m % ell]))
 
 
+def v_group_position(field, bound, ell, p):
+    """Where p sits in its v-group of the scan's split columns."""
+    split = [s for s in enumerate_slots(field, bound) if s.kind == "split"]
+    ss = None if field.is_rational else [s.sqrt_d for s in split]
+    ps = _v_groups([s.p for s in split], ss, ell)[valuation(p - 1, ell)][0]
+    return "first" if ps[0] == p else "last" if ps[-1] == p else "inside"
+
+
+class TestExcludedCut:
+    """The bisect cut of excluded primes out of each v-group, against the oracle.
+
+    Where p * p > bound, p is found as the cofactor left by trial division.
+    """
+
+    @pytest.mark.parametrize("field,x,y,ell,bound,p,position", [
+        (QQ, 1999, 0, 2, 2000, 1999, "last"),
+        (QQ, 2 * 1999, 0, 3, 2000, 1999, "last"),
+        (QQ, 3, 0, 2, 2000, 3, "first"),
+        (QQ, 5, 0, 2, 2000, 5, "first"),
+        (GAUSS, 10, 1, 2, 2000, 101, "inside"),   # norm 101
+        (GAUSS, 2, 1, 2, 2000, 5, "first"),       # norm 5
+        (GAUSS, 4, 1, 2, 2000, 17, "first"),      # norm 17
+        (GAUSS, 29, 34, 2, 2000, 1997, "last"),   # norm 1997
+        (FieldSpec(17), 1, 2, 3, 3000, 67, "inside"),  # norm -67
+    ])
+    def test_cut_prime_matches_oracle(self, field, x, y, ell, bound, p, position):
+        a = elem(field, x, y)
+        excluded = assert_scan_matches_oracle(a, ell, bound)
+        assert p in excluded
+        assert v_group_position(field, bound, ell, p) == position
+        kinds = [s.kind for s in enumerate_slots(field, bound) if s.p == p]
+        assert kinds == ["split"] * (1 if field.is_rational else 2)
+
+
 class TestIdentities:
     """Galois and power identities of the (v, k) counts on one shared slot list."""
 
@@ -142,15 +196,15 @@ class TestIdentities:
         compared = [a, a.conjugate(), a ** m, a ** ell]
         bad = prod(_bad_modulus(b, ell) for b in compared)
         slots = [s for s in enumerate_slots(a.field, bound) if bad % s.p]
-        counts = _vk_counts(a, ell, slots)
+        counts = vk_counts(a, ell, slots)
         # conjugation swaps the two slots of a split p and fixes each inert one
-        assert _vk_counts(a.conjugate(), ell, slots) == counts
+        assert vk_counts(a.conjugate(), ell, slots) == counts
         # l does not divide m, so x and x**m have the same l-part of the order
-        assert _vk_counts(a ** m, ell, slots) == counts
+        assert vk_counts(a ** m, ell, slots) == counts
         lowered: Counter = Counter()
         for (v, k), c in counts.items():
             lowered[v, max(k - 1, 0)] += c
-        assert _vk_counts(a ** ell, ell, slots) == lowered
+        assert vk_counts(a ** ell, ell, slots) == lowered
 
 
 class TestEnumerate:
@@ -199,6 +253,50 @@ class TestEnumerate:
             list(enumerate_slots(QQ, 10 ** 20))
 
 
+def euler_brute_slots(field, bound):
+    """The slots by Euler's criterion and a search for the least root of d mod p."""
+    primes = [p for p in range(2, bound + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
+    if field.is_rational:
+        return [PrimeSlot(p, "split", p, None) for p in primes]
+    d, disc, out = field.d, field.discriminant, []
+    for p in primes:
+        if disc % p == 0:
+            continue
+        if p == 2:
+            split = d % 8 == 1
+        else:
+            split = pow(d % p, (p - 1) // 2, p) == 1
+        if split:
+            r = indexOf(map(pow, range(p), repeat(2), repeat(p)), d % p)
+            out += [PrimeSlot(p, "split", p, r), PrimeSlot(p, "split", p, p - r)]
+        elif p * p <= bound:
+            out.append(PrimeSlot(p, "inert", p * p, None))
+    return out
+
+
+# d = 1 mod 8 (2 splits), d = 5 mod 8 (2 is inert), d = 2, 3 mod 4, and |d| > 1000
+ENUM_FIELDS = [QQ] + [FieldSpec(d) for d in (
+    17, 33, 41, 57, -7, -15, -23, -31, 1001,
+    5, 13, 21, -3, -11, -19, -1003, 2021,
+    2, 3, 6, 7, -1, -2, -5, -6, 10, -4001, 1002, 4099,
+)]
+
+
+class TestEnumerateReference:
+    @pytest.mark.parametrize("field", ENUM_FIELDS, ids=str)
+    def test_matches_euler_and_root_search(self, field):
+        for bound in (2, 3, 4, 9, 10, 121, 3000):
+            assert list(enumerate_slots(field, bound)) == euler_brute_slots(field, bound)
+
+    @pytest.mark.parametrize("d", [17, -1003, 7])
+    def test_matches_at_three_times_ten_to_the_four(self, d):
+        field = FieldSpec(d)
+        assert list(enumerate_slots(field, 3 * 10 ** 4)) == euler_brute_slots(field, 3 * 10 ** 4)
+
+    def test_sieve_matches_trial_division(self):
+        assert [s.p for s in euler_brute_slots(QQ, 3 * 10 ** 4)] == list(sieve_primes(3 * 10 ** 4))
+
+
 class TestOrderValuation:
     def test_rational_examples(self):
         slot7 = PrimeSlot(7, "split", 7, None)
@@ -220,7 +318,7 @@ class TestOrderValuation:
 
     def test_both_slots_of_a_split_prime_in_one_call(self):
         slots = [PrimeSlot(5, "split", 5, 2), PrimeSlot(5, "split", 5, 3)]
-        assert _vk_counts(elem(GAUSS, 1, 1), 2, slots) == Counter({(2, 2): 1, (2, 1): 1})
+        assert vk_counts(elem(GAUSS, 1, 1), 2, slots) == Counter({(2, 2): 1, (2, 1): 1})
 
     def test_full_order_stops_at_v(self):
         # 3 generates F_17^x, of order 16 = 2**4
@@ -229,7 +327,7 @@ class TestOrderValuation:
     def test_nonunit_inside_a_slot_list_rejected(self):
         slots = [PrimeSlot(p, "split", p, None) for p in (5, 7, 11)]
         with pytest.raises(DomainError):
-            _vk_counts(elem(QQ, 7), 2, slots)
+            vk_counts(elem(QQ, 7), 2, slots)
 
     def test_inert_arithmetic(self):
         # 3 is inert in Q(i); ord(i mod 3) divides 4 and is 4
@@ -247,6 +345,16 @@ class TestOrderValuation:
         # 1 + sqrt(-3) = 2*omega lies in the prime above 2
         with pytest.raises(DomainError):
             slot_vk(elem(FieldSpec(-3), 1, 1), PrimeSlot(2, "inert", 4, None), 3)
+
+    def test_nonunit_at_a_v_zero_slot_rejected(self):
+        # 5 = 2 mod 3, so v = 0 at p = 5 for l = 3: no power is taken there,
+        # and the reduction must still be checked
+        slots = [PrimeSlot(p, "split", p, None) for p in (5, 7, 11)]
+        with pytest.raises(DomainError, match="reduction mod 5 is not a unit"):
+            vk_counts(elem(QQ, 5), 3, slots)
+        with pytest.raises(DomainError, match="reduction mod 5 is not a unit"):
+            # 2 + sqrt(-1) vanishes where sqrt(-1) = 3 mod 5
+            vk_counts(elem(GAUSS, 2, 1), 3, [PrimeSlot(5, "split", 5, 3)])
 
     def test_nonunit_reduction_rejected(self):
         with pytest.raises(DomainError):
