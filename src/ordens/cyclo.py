@@ -11,7 +11,7 @@ than a Galois computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -28,24 +28,19 @@ class Tower(str, Enum):
     I_ADJOINED = "i_adjoined"  # Q(i)
 
 
-@dataclass(frozen=True)
-class CycloProfile:
+class CycloProfile(namedtuple("CycloProfile",
+                              "ell has_zeta_ell has_zeta4 degree stall zeta4_stall tower")):
     """Degrees and stall levels of K(zeta_{l^m}) over K.
 
     degree is [K(zeta_l) : K].  stall is the greatest t with
     K(zeta_l) = K(zeta_{l^t}) (for l = 2 with i in K: the greatest t with
     K = K(zeta_{2^t})).  zeta4_stall, only for l = 2 without i, is the
     greatest s with K(i) = K(zeta_{2^s}); it is 3 exactly when sqrt(2) or
-    sqrt(-2) lies in K, else 2.
+    sqrt(-2) lies in K, else 2.  has_zeta4, zeta4_stall and tower are None
+    for odd l.
     """
 
-    ell: int
-    has_zeta_ell: bool
-    has_zeta4: bool | None
-    degree: int
-    stall: int
-    zeta4_stall: int | None
-    tower: Tower | None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=256)

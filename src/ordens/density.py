@@ -18,7 +18,7 @@ no formula code, which makes their agreement a meaningful cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,21 +32,20 @@ class ShapeViolation(InvariantError):
     """A computed density does not have its mandated shape."""
 
 
-Params = tuple[tuple[str, object], ...]
+class DensityValue(namedtuple("DensityValue", "value method branch params")):
+    """An exact density in [0, 1] plus a note of how it was derived.
 
+    method is "closed_form" or "series"; params is a tuple of (name, value)
+    pairs.
+    """
 
-@dataclass(frozen=True)
-class DensityValue:
-    """An exact density in [0, 1] plus a note of how it was derived."""
+    __slots__ = ()
 
-    value: Fraction
-    method: str   # "closed_form" or "series"
-    branch: str
-    params: Params = ()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 1:
-            raise InvariantError(f"density {self.value} outside [0, 1]")
+    def __new__(cls, value: Fraction, method: str, branch: str,
+                params: tuple = ()) -> DensityValue:
+        if not 0 <= value <= 1:
+            raise InvariantError(f"density {value} outside [0, 1]")
+        return super().__new__(cls, value, method, branch, params)
 
 
 @lru_cache(maxsize=4096)
@@ -54,7 +53,7 @@ def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
     """Normal form, tower profile and halving flag for one input.
 
     Cached per (a, l), so the D(a, n) of every n share one halving-flag
-    search; the returned objects are frozen.
+    search; the returned objects are immutable.
     """
     dec = decompose(a, ell)
     prof = cyclo_profile(a.field, ell)
@@ -108,7 +107,7 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
     # l = 2 and i not in K
     s = prof.zeta4_stall
     eps = Fraction(1, 2) if special else Fraction(1)
-    params: Params = (("d", d), ("s", s), ("eps", eps))
+    params = (("d", d), ("s", s), ("eps", eps))
     if dec.case is Case.POWER:
         value = _closed_zeta4_free_power(d, s, eps)
         return DensityValue(value, "closed_form", "zeta4-absent/power", params)
@@ -183,11 +182,8 @@ def density_series(a: Element, ell: int) -> DensityValue:
                         (("layers", limit + 1),))
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    kind: str | None     # which structural form applied, None when neither
-    value: Fraction
-    detail: str
+# kind: which structural form applied, None when neither
+ShapeReport = namedtuple("ShapeReport", "kind value detail")
 
 
 def shape_check(a: Element, ell: int) -> ShapeReport:

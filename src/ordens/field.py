@@ -9,7 +9,7 @@ conjugation); the one float in the package is cli._approx's 6-digit display.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -49,17 +49,17 @@ def is_squarefree(n: int) -> bool:
 MAX_D_BITS = 32
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "d")):
     """Q when d is None, else Q(sqrt(d)) for a squarefree integer d."""
 
-    d: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d is not None and self.d.bit_length() > MAX_D_BITS:
-            raise DomainError(f"need |d| < 2**{MAX_D_BITS}, got a {self.d.bit_length()}-bit d")
-        if self.d is not None and (self.d in (0, 1) or not is_squarefree(self.d)):
-            raise DomainError(f"need squarefree d outside {{0, 1}}, got {self.d}")
+    def __new__(cls, d: int | None = None) -> FieldSpec:
+        if d is not None and d.bit_length() > MAX_D_BITS:
+            raise DomainError(f"need |d| < 2**{MAX_D_BITS}, got a {d.bit_length()}-bit d")
+        if d is not None and (d in (0, 1) or not is_squarefree(d)):
+            raise DomainError(f"need squarefree d outside {{0, 1}}, got {d}")
+        return super().__new__(cls, d)
 
     @property
     def is_rational(self) -> bool:
@@ -78,19 +78,16 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-@dataclass(frozen=True, init=False)
 class Element:
     """(u + w*sqrt(d)) / den with den > 0 and gcd(u, w, den) = 1.
 
     That triple is canonical, so equality and hashing compare ints; every
     operation is integer arithmetic and one gcd.  x and y are Fractions.
+    A plain class with __slots__: it keeps no per-instance dict, and unlike
+    a namedtuple it never equals a tuple.  Only _new sets the slots.
     """
 
     __slots__ = ("field", "u", "w", "den")
-    field: FieldSpec
-    u: int
-    w: int
-    den: int
 
     def __new__(cls, field: FieldSpec, x: int | Fraction, y: int | Fraction = 0) -> Element:
         x, y = Fraction(x), Fraction(y)
@@ -110,6 +107,15 @@ class Element:
     @property
     def is_zero(self) -> bool:
         return not (self.u or self.w)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Element(field={self.field!r}, u={self.u!r}, w={self.w!r}, den={self.den!r})"
 
     def __reduce__(self):  # copy and pickle rebuild through __new__: setattr is frozen
         return Element, (self.field, self.x, self.y)

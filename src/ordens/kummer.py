@@ -14,7 +14,7 @@ layers handled explicitly below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclo import CycloProfile, cyclotomic_degree
 from .field import DomainError
@@ -29,26 +29,22 @@ from .roots import Case, Decomposition
 MAX_VALUATION_BITS = 10_000
 
 
-@dataclass(frozen=True)
-class KummerQuery:
-    ell: int
-    m: int
-    n: int
-    decomp: Decomposition
-    profile: CycloProfile
-    special: bool
+class KummerQuery(namedtuple("KummerQuery", "ell m n decomp profile special")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.decomp.ell != self.ell or self.profile.ell != self.ell:
-            raise DomainError(f"normal form (l = {self.decomp.ell}) and profile "
-                              f"(l = {self.profile.ell}) must be for l = {self.ell}")
-        if self.m < 1:
+    def __new__(cls, ell: int, m: int, n: int, decomp: Decomposition,
+                profile: CycloProfile, special: bool) -> KummerQuery:
+        if decomp.ell != ell or profile.ell != ell:
+            raise DomainError(f"normal form (l = {decomp.ell}) and profile "
+                              f"(l = {profile.ell}) must be for l = {ell}")
+        if m < 1:
             raise DomainError("cyclotomic level m must be >= 1")
-        if not 0 <= self.n <= self.m:
-            raise DomainError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
-        if (self.m + self.n) * self.ell.bit_length() > MAX_VALUATION_BITS:
-            raise DomainError(f"levels m={self.m}, n={self.n} too large for l = {self.ell}: "
-                              f"need (m + n) * {self.ell.bit_length()} <= {MAX_VALUATION_BITS}")
+        if not 0 <= n <= m:
+            raise DomainError(f"need 0 <= n <= m, got n={n}, m={m}")
+        if (m + n) * ell.bit_length() > MAX_VALUATION_BITS:
+            raise DomainError(f"levels m={m}, n={n} too large for l = {ell}: "
+                              f"need (m + n) * {ell.bit_length()} <= {MAX_VALUATION_BITS}")
+        return super().__new__(cls, ell, m, n, decomp, profile, special)
 
 
 def kummer_relative_degree(q: KummerQuery) -> int:

@@ -11,7 +11,7 @@ candidate is verified by exact exponentiation before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -101,8 +101,7 @@ class Case(str, Enum):
     ROOT_OF_UNITY = "root_of_unity"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_level")):
     """Normal form element == base ** (ell ** depth) * unit.
 
     base is strongly indivisible, unit is a root of unity of order
@@ -112,12 +111,7 @@ class Decomposition:
     ell**k-th power from these fields alone.
     """
 
-    ell: int
-    case: Case
-    depth: int
-    base: Element | None
-    unit: Element
-    unit_level: int
+    __slots__ = ()
 
     def raised(self, k: int) -> Decomposition:
         """Normal form of element ** (ell ** k), without building that power.
@@ -129,11 +123,11 @@ class Decomposition:
         if k < 0:
             raise DomainError(f"raised needs k >= 0, got {k}")
         if self.case is Case.ROOT_OF_UNITY:
-            return replace(self, unit=self.unit ** pow(self.ell, k, unit_order(self.unit)))
+            return self._replace(unit=self.unit ** pow(self.ell, k, unit_order(self.unit)))
         level = max(0, self.unit_level - k)
-        return replace(self, case=Case.POWER if level == 0 else self.case,
-                       depth=self.depth + k, unit_level=level,
-                       unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
+        return self._replace(case=Case.POWER if level == 0 else self.case,
+                             depth=self.depth + k, unit_level=level,
+                             unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
 
     def recompose(self) -> Element:
         if self.case is Case.ROOT_OF_UNITY:

@@ -23,9 +23,9 @@ F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -41,35 +41,28 @@ from .field import DomainError, Element, FieldSpec, valuation
 PrimeSlot = namedtuple("PrimeSlot", "p kind norm sqrt_d")
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    bound: int
-    counted: int
-    excluded: tuple[int, ...]
-    histogram: dict[int, int]
-    empirical: dict[int, Fraction]
-    exact: dict[int, Fraction]
-    max_abs_error: Fraction
+ScanReport = namedtuple("ScanReport", "bound counted excluded histogram empirical exact max_abs_error")
 
 
 # Largest norm bound of a scan.  A scan at this bound over a quadratic field
-# peaks near 90 MB (Python 3.11): the sieve's bytes while it runs, its
-# 664,579 primes, and the slot columns as arrays of machine words.
+# peaks at 62-80 MB (Python 3.11, peak RSS of the whole CLI run): the sieve's
+# bytes while it runs, and its 664,579 primes and the slot columns as arrays
+# of machine words.
 MAX_BOUND = 10 ** 7
 
 
 @lru_cache(maxsize=8)
-def sieve_primes(bound: int) -> tuple[int, ...]:
+def sieve_primes(bound: int) -> array:
     if bound > MAX_BOUND:
         raise DomainError(f"norm bound {bound} is over the limit of {MAX_BOUND}")
     if bound < 2:
-        return ()
+        return array("l")
     flags = bytearray([1]) * (bound + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(compress(range(bound + 1), flags))
+    return array("l", compress(range(bound + 1), flags))
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -106,7 +99,6 @@ def _field_slots(field: FieldSpec, bound: int) -> tuple:
     primes = sieve_primes(bound)
     if field.is_rational:
         return primes, None, ()
-    from array import array  # here, so that commands that scan nothing skip its import
     d, disc = field.d, field.discriminant
     ps, ss, inert = array("l"), array("l"), []
     splits: dict[int, bool] = {}  # p mod |disc| -> p splits
@@ -171,7 +163,6 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
 
 def _v_groups(ps, ss, ell: int) -> dict[int, tuple]:
     """Split slot columns grouped by v = v_l(p - 1): {v: (ps, ss, es)}, e = (p - 1)/l**v."""
-    from array import array
     groups: dict[int, tuple] = {}
     last = 0
     for i, p in enumerate(ps):

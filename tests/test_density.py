@@ -9,9 +9,11 @@ import pytest
 
 from ordens import (
     QQ,
+    DensityValue,
     DomainError,
     Element,
     FieldSpec,
+    InvariantError,
     density,
     density_closed,
     density_series,
@@ -159,6 +161,11 @@ class TestRange:
         for a, ell in corpus[::9]:
             v = density_closed(a, ell).value
             assert 0 <= v <= 1
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 5)])
+    def test_value_outside_unit_interval_rejected(self, value):
+        with pytest.raises(InvariantError, match=r"outside \[0, 1\]"):
+            DensityValue(value, "closed_form", "torsion")
 
 
 def test_galois_invariance(corpus):

@@ -15,11 +15,19 @@ from hypothesis import strategies as st
 
 from ordens import (
     QQ,
+    CycloProfile,
+    DensityValue,
     DomainError,
     Element,
     FieldMismatch,
     FieldSpec,
+    KummerQuery,
     ParseError,
+    ScanReport,
+    ShapeReport,
+    Tower,
+    decompose,
+    empirical_density,
     format_element,
     parse_element,
     parse_field,
@@ -52,7 +60,7 @@ class TestFieldSpec:
     def test_equality_is_structural(self):
         assert FieldSpec(2) == FieldSpec(2)
         assert FieldSpec(2) != FieldSpec(-2)
-        assert QQ == FieldSpec(None)
+        assert QQ == FieldSpec(None) == FieldSpec()
 
     def test_discriminant(self):
         assert FieldSpec(-1).discriminant == -4
@@ -145,6 +153,25 @@ def is_canonical(e):
     return e.den > 0 and gcd(e.u, e.w, e.den) == 1
 
 
+def _records():
+    """One of each public record with the attribute names it protects; each call builds anew."""
+    a = elem(RT3, 2, 1)
+    dec = decompose(a, 2)
+    prof = CycloProfile(2, True, False, 1, 1, 2, Tower.TRIVIAL)
+    return [
+        (FieldSpec(3), ("d",)),
+        (elem(GAUSS, Fraction(1, 2), 3), ("field", "u", "w", "den", "x", "y")),
+        (prof, ("ell", "has_zeta_ell", "has_zeta4", "degree", "stall", "zeta4_stall", "tower")),
+        (dec, ("ell", "case", "depth", "base", "unit", "unit_level")),
+        (KummerQuery(2, 3, 1, dec, prof, True), ("ell", "m", "n", "decomp", "profile", "special")),
+        (DensityValue(Fraction(7, 24), "closed_form", "valuation-difference", (("n", 1),)),
+         ("value", "method", "branch", "params")),
+        (ShapeReport("pure", Fraction(1, 3), "side=direct"), ("kind", "value", "detail")),
+        (empirical_density(elem(QQ, 2), 2, 100),
+         ("bound", "counted", "excluded", "histogram", "empirical", "exact", "max_abs_error")),
+    ]
+
+
 class TestIntegerRepresentation:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(element_pairs(), st.integers(-5, 5))
@@ -186,13 +213,25 @@ class TestIntegerRepresentation:
         assert one != Element(FieldSpec(-1) if field.is_rational else QQ, 1)
 
     def test_immutable(self):
-        e = elem(GAUSS, Fraction(1, 2), 3)
-        for name in ("x", "y", "u", "w", "den", "field", "other"):
-            with pytest.raises(AttributeError):
-                setattr(e, name, 1)
-        with pytest.raises(AttributeError):
-            del e.u
-        assert e == elem(GAUSS, Fraction(1, 2), 3)
+        """No field of a public record can be set or deleted, and no name added.
+
+        Records built separately from equal fields are equal and hash alike;
+        every record but Element hashes as the tuple of its fields.
+        """
+        for (rec, names), (again, _) in zip(_records(), _records()):
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(rec, name)
+            assert rec == again and rec is not again
+            if type(rec) is ScanReport:  # it holds dicts
+                with pytest.raises(TypeError):
+                    hash(rec)
+            else:
+                assert hash(rec) == hash(again)
+            if type(rec) not in (Element, ScanReport):
+                assert hash(rec) == hash(tuple(getattr(rec, n) for n in names))
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_copy_and_pickle_round_trip(self, field):
