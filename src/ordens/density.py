@@ -6,14 +6,18 @@ density_closed evaluates the closed forms on that data; density reduces a
 prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
 a**(l**k) is a's own shifted by k (Decomposition.raised), so no power of a
-is built; density_series re-derives D(a, 0) independently by summing
+is built.  density_series re-derives D(a, n) independently from the
+paper's joint law for (v, k), v = v_l(Np - 1) and k the l-valuation of the
+order of a mod p: with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from the
+Kummer degree module, T(0, 0) = 1 and j = m - n,
 
-    sum_{i>=0} ( 1/[K(zeta_{l^i}, a**(1/l**i)) : K]
-                 - 1/[K(zeta_{l^{i+1}}, a**(1/l**i)) : K] )
+    P(m, 0) = 1/T(m, m) - 1/T(m+1, m)
+    P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
 
-through the Kummer degree module, with the geometric tail closed exactly
-once consecutive summands lock onto the 1/l**2 decay.  The two paths share
-no formula code, which makes their agreement a meaningful cross-check.
+and D(a, n) = sum_{m>=n} P(m, n).  The cells are summed as integers over the
+lcm of the degrees, and the geometric tail is closed exactly once
+consecutive cells lock onto the 1/l**2 decay.  The two paths share no
+formula code, which makes their agreement a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import sub
 
 from .cyclo import CycloProfile, cyclo_profile, special_case_flag
 from .field import DomainError, Element, InvariantError, valuation
@@ -149,37 +155,42 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
                         (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
 
 
-def density_series(a: Element, ell: int) -> DensityValue:
-    """D(a) summed layer by layer from Kummer degrees, with an exact tail.
+def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
+    """D(a, n) summed over v = v_l(Np - 1) from Kummer degrees, with an exact tail.
 
-    Summands are evaluated up to M = d + r + t + s + 4, which lies past
-    every breakpoint of the degree formulas; the last three must then
-    decay by exactly 1/l**2 per step (anything else is a formula bug and
-    raises), and the remaining tail is the geometric sum
-    summand_M / (l**2 - 1).
+    Cell m is P(m, n) = f(m, m - n) - f(m, m - n + 1) (the second term only
+    for n >= 1), where f(m, j) = 1/T(m, j) - 1/T(m + 1, j) and T(0, 0) = 1.
+    Cells m = n..M with M = n + d + r + t + s + 4, past every breakpoint of
+    the degree formulas, are summed as integers over the lcm of the degrees;
+    the last three must then decay by exactly 1/l**2 per step (anything else
+    is a formula bug and raises), and the tail is cell_M / (l**2 - 1).  The
+    levels are held to the KummerQuery bit budget, so a huge n raises
+    DomainError.
     """
     if a.is_zero:
         raise DomainError("density of zero is undefined")
     if is_root_of_unity(a):
         raise DomainError("series evaluation expects a non-torsion element")
+    if n < 0:
+        raise DomainError("valuation must be nonnegative")
     dec, prof, special = analyze(a, ell)
-    limit = dec.depth + dec.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
-
-    def inv_total(m: int, n: int) -> Fraction:
-        q = KummerQuery(ell, m, n, dec, prof, special)
-        return Fraction(1, total_degree(q))
-
-    terms = [1 - inv_total(1, 0)]
-    for i in range(1, limit + 1):
-        terms.append(inv_total(i, i) - inv_total(i + 1, i))
-    ratio = Fraction(1, ell * ell)
-    if terms[-1] != terms[-2] * ratio or terms[-2] != terms[-3] * ratio:
+    top = n + dec.depth + dec.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
+    # per cell: T(m, j), T(m + 1, j) for j = m - n, then for j = m - n + 1 when n >= 1
+    shifts = (0, 1) if n else (0,)
+    degrees = [total_degree(KummerQuery(ell, lev, m - n + i, dec, prof, special)) if lev else 1
+               for m in range(n, top + 1) for i in shifts for lev in (m, m + 1)]
+    den = lcm(*degrees)
+    nums = [den // t for t in degrees]
+    cells = list(map(sub, nums[::2], nums[1::2]))  # f(m, j) numerators
+    if n:
+        cells = list(map(sub, cells[::2], cells[1::2]))
+    ell2 = ell * ell
+    if cells[-2] != cells[-1] * ell2 or cells[-3] != cells[-2] * ell2:
         raise InvariantError(
-            f"series did not stabilize by layer {limit} for {a}: tail "
-            f"{terms[-3]}, {terms[-2]}, {terms[-1]}")
-    tail = terms[-1] * Fraction(1, ell * ell - 1)
-    return DensityValue(sum(terms) + tail, "series", "layer-sum",
-                        (("layers", limit + 1),))
+            f"series for n = {n} did not stabilize by layer {top} for {a}: tail "
+            f"{', '.join(str(Fraction(c, den)) for c in cells[-3:])}")
+    return DensityValue(Fraction(sum(cells) * (ell2 - 1) + cells[-1], den * (ell2 - 1)),
+                        "series", "layer-sum", (("layers", len(cells)),))
 
 
 # kind: which structural form applied, None when neither

@@ -76,7 +76,7 @@ def _sqrt_mod(n: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    z = 3  # 2 is a square mod every p = 1 mod 8, the only p that reach here
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)

@@ -6,6 +6,9 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from conftest import FIELDS
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -17,6 +20,7 @@ from ordens import (
     density,
     density_closed,
     density_series,
+    is_root_of_unity,
     parse_element,
     parse_field,
     shape_check,
@@ -128,10 +132,64 @@ class TestSeries:
     def test_matches_closed_form(self, ftext, atext, ell):
         a = parse_element(atext, parse_field(ftext))
         assert density_series(a, ell).value == density_closed(a, ell).value
+        for n in (1, 2, 3):
+            assert density_series(a, ell, n).value == density(a, ell, n).value, n
 
     def test_rejects_torsion(self):
         with pytest.raises(DomainError):
             density_series(elem(QQ, -1), 2)
+
+    def test_n_past_kummer_budget_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="too large"):
+            density_series(elem(QQ, 2), 2, 5000)
+        with pytest.raises(DomainError, match="nonnegative"):
+            density_series(elem(QQ, 2), 2, -1)
+
+    def test_unstable_tail_names_n_layer_and_cells(self, monkeypatch):
+        mod = importlib.import_module("ordens.density")
+        monkeypatch.setattr(mod, "total_degree", lambda q: q.ell ** (q.m + q.n) * (q.m + 1))
+        # the factor m + 1 keeps the cells off the 1/l**2 decay
+        with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 "
+                                                 r"for 2: tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):
+            density_series(elem(QQ, 2), 2, 1)
+
+
+@st.composite
+def series_inputs(draw):
+    """A non-torsion element of a corpus field, with l in {2, 3, 5}."""
+    field = draw(st.sampled_from(FIELDS))
+    x = draw(st.fractions(-30, 30, max_denominator=20))
+    y = 0 if field.is_rational else draw(st.fractions(-30, 30, max_denominator=20))
+    a = Element(field, x, y)
+    assume(not a.is_zero and not is_root_of_unity(a))
+    return a, draw(st.sampled_from((2, 3, 5)))
+
+
+class TestSeriesProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(series_inputs())
+    def test_partial_sums_stay_at_most_one(self, item):
+        a, ell = item
+        partial = Fraction(0)
+        for n in range(6):
+            partial += density_series(a, ell, n).value
+            assert partial <= 1, n
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(series_inputs(), st.integers(1, 3))
+    def test_telescoping_against_powers(self, item, n):
+        a, ell = item
+        hi = density_series(a ** ell ** n, ell).value
+        lo = density_series(a ** ell ** (n - 1), ell).value
+        assert density_series(a, ell, n).value == hi - lo
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(series_inputs(), st.integers(-7, 7))
+    def test_prime_to_l_power_invariance(self, item, k):
+        a, ell = item
+        assume(k % ell)
+        for n in range(4):
+            assert density_series(a ** k, ell, n).value == density_series(a, ell, n).value, n
 
 
 class TestShapes:
