@@ -164,8 +164,8 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     the degree formulas, are summed as integers over the lcm of the degrees;
     the last three must then decay by exactly 1/l**2 per step (anything else
     is a formula bug and raises), and the tail is cell_M / (l**2 - 1).  The
-    levels are held to the KummerQuery bit budget, so a huge n raises
-    DomainError.
+    top degree T(M + 1, M - n + 1) is held to the KummerQuery bit budget, so
+    an n past the series' reach raises a DomainError that names n.
     """
     if a.is_zero:
         raise DomainError("density of zero is undefined")
@@ -175,6 +175,11 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
         raise DomainError("valuation must be nonnegative")
     dec, prof, special = analyze(a, ell)
     top = n + dec.depth + dec.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
+    j = top - n + (n > 0)  # the top degree is T(top + 1, j)
+    if (top + 1 + j) * ell.bit_length() > MAX_VALUATION_BITS:
+        raise DomainError(f"valuation {n} too large for the series at l = {ell}: its top degree "
+                          f"T(m={top + 1}, j={j}) needs (m + j) * {ell.bit_length()} "
+                          f"<= {MAX_VALUATION_BITS}")
     # per cell: T(m, j), T(m + 1, j) for j = m - n, then for j = m - n + 1 when n >= 1
     shifts = (0, 1) if n else (0,)
     degrees = [total_degree(KummerQuery(ell, lev, m - n + i, dec, prof, special)) if lev else 1

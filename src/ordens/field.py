@@ -274,32 +274,21 @@ def parse_field(text: str) -> FieldSpec:
     return FieldSpec(int(m.group(1)))
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|sqrt|zeta3|i|[-+*/^()])")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character in element at {text[pos:]!r}")
-            break
-        if len(m.group(1)) > _MAX_DIGITS:
-            raise DomainError(f"a {len(m.group(1))}-digit number in element text is "
-                              f"over the limit of {MAX_COORDINATE_BITS} bits")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
 # Parsed elements keep every numerator and denominator within this many bits
 # (about 1,230 digits): far above any table or test input, small enough that
 # decompose stays fast and every coordinate prints under Python's 4,300-digit
 # int-to-str limit.
 MAX_COORDINATE_BITS = 4096
 _MAX_DIGITS = len(str(1 << MAX_COORDINATE_BITS))
+_LONG_NUMBER_RE = re.compile(rf"(?<!\d)\d{{{_MAX_DIGITS + 1},}}")
+_RAT = r"\d+(?:\s*/\s*\d+)?"
+# One term: an atom, an optional '^k', then '*' or the end of the text (end is
+# None when neither follows).  No two '\s*' can split the same blank run, so a
+# failed match backtracks in linear time.
+_TERM_RE = re.compile(rf"""\s*(?: (?P<unit>i|zeta3)
+    | (?P<x>(?:[-+]\s*)?{_RAT})
+      (?: (?P<y>\s*[-+]\s*{_RAT})? \s*\*\s*sqrt\s*\(\s*(?P<d>(?:-\s*)?\d+)\s*\) )? )
+    (?:\s*\^\s*(?P<k>\d+))? \s*(?P<end>\*|\Z)?""", re.X)
 
 
 def _coordinate_bits(e: Element) -> int:
@@ -312,129 +301,80 @@ def _check_bits(bits: int, what: str, least: str = "") -> None:
                           f"over the limit of {MAX_COORDINATE_BITS}")
 
 
-class _ElementParser:
-    """element := term ('*' term)* ; term := atom ('^' uint)? ;
-    atom := 'i' | 'zeta3' | rat | rat sign rat*sqrt(D) | [sign] rat*sqrt(D)
-    (the sign is the atom's, so '-2^2' is (-2)**2 = 4; '-1*2^2' is -4)
+def _rat(text: str) -> Fraction:
+    num, _, den = "".join(text.split()).partition("/")
+    if den and not int(den):
+        raise ParseError(f"zero denominator in {text.strip()!r}")
+    return Fraction(int(num), int(den or 1))
 
-    Every term and product is held to MAX_COORDINATE_BITS.  A power is
-    refused before it is built when it must be over that limit: for a
-    rational atom whose larger coordinate has b bits, atom**k has at least
-    k*(b - 1) + 1; for an atom with a sqrt(d) part the bound is k*b.
-    """
 
-    def __init__(self, tokens: list[str], field: FieldSpec):
-        self.toks = tokens
-        self.pos = 0
-        self.field = field
-
-    def peek(self, ahead: int = 0) -> str | None:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of element text")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> Element:
-        e = self.term()
-        while self.peek() == "*":
-            self.next()
-            e = e * self.term()
-            _check_bits(_coordinate_bits(e), "the product")
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at {self.toks[self.pos:]!r}")
-        return e
-
-    def term(self) -> Element:
-        a = self.atom()
-        if self.peek() == "^":
-            self.next()
-            k = self.uint()
-            bits = _coordinate_bits(a)
-            if a.y == 0:
-                _check_bits(k * (bits - 1) + 1, f"a power to the exponent {k}", "at least ")
-            else:
-                _check_bits(k * bits, f"a power to the exponent {k}")
-            a = a ** k
-        _check_bits(_coordinate_bits(a), "a term")
-        return a
-
-    def uint(self) -> int:
-        tok = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected exponent, got {tok!r}")
-        return int(tok)
-
-    def atom(self) -> Element:
-        tok = self.peek()
-        if tok == "i":
-            self.next()
-            if self.field.d != -1:
-                raise ParseError("'i' is only valid over Q(sqrt -1)")
-            return Element(self.field, 0, 1)
-        if tok == "zeta3":
-            self.next()
-            if self.field.d != -3:
-                raise ParseError("'zeta3' is only valid over Q(sqrt -3)")
-            return Element(self.field, Fraction(-1, 2), Fraction(1, 2))
-        r1 = self.signed_rat()
-        nxt = self.peek()
-        if nxt in ("+", "-"):
-            sign = -1 if self.next() == "-" else 1
-            r2 = self.rat()
-            self.sqrt_suffix()
-            return Element(self.field, r1, sign * r2)
-        if nxt == "*" and self.peek(1) == "sqrt":
-            self.sqrt_suffix()
-            return Element(self.field, 0, r1)
-        return Element(self.field, r1)
-
-    def sqrt_suffix(self) -> None:
-        self.expect("*")
-        self.expect("sqrt")
-        self.expect("(")
-        neg = False
-        if self.peek() == "-":
-            self.next()
-            neg = True
-        tok = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected integer inside sqrt(...), got {tok!r}")
-        d = -int(tok) if neg else int(tok)
-        self.expect(")")
-        if self.field.is_rational or d != self.field.d:
-            raise ParseError(f"sqrt({d}) does not live in {self.field}")
-
-    def signed_rat(self) -> Fraction:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.next() == "-" else 1
-        return sign * self.rat()
-
-    def rat(self) -> Fraction:
-        tok = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected number, got {tok!r}")
-        num = int(tok)
-        if self.peek() == "/":
-            self.next()
-            den = self.next()
-            if not den.isdigit() or int(den) == 0:
-                raise ParseError(f"expected positive denominator, got {den!r}")
-            return Fraction(num, int(den))
-        return Fraction(num)
+def _atom(m: re.Match, field: FieldSpec) -> Element:
+    if m["unit"] == "i":
+        if field.d != -1:
+            raise ParseError("'i' is only valid over Q(sqrt -1)")
+        return _new(field, 0, 1, 1)
+    if m["unit"]:
+        if field.d != -3:
+            raise ParseError("'zeta3' is only valid over Q(sqrt -3)")
+        return _new(field, -1, 1, 2)
+    x = _rat(m["x"])
+    if m["d"] is None:
+        return Element(field, x)
+    d = int("".join(m["d"].split()))
+    if d != field.d:
+        raise ParseError(f"sqrt({d}) does not live in {field}")
+    return Element(field, x, _rat(m["y"])) if m["y"] else Element(field, 0, x)
 
 
 def parse_element(text: str, field: FieldSpec) -> Element:
-    """Parse element text like '2', '-1/2+1/2*sqrt(-3)', '8*zeta3', '2^9';
-    a leading sign binds before '^', so '-2^2' is 4 and '-1*2^2' is -4."""
-    return _ElementParser(_tokenize(text), field).parse()
+    """Parse element text like '2', '-1/2+1/2*sqrt(-3)', '8*zeta3', '2^9'.
+
+    element := term ('*' term)* ;  term := atom ('^' uint)? ;
+    atom := 'i' | 'zeta3' | rat | rat sign urat*sqrt(D) | rat*sqrt(D) ;
+    rat := [sign] urat ;  urat := uint ('/' uint)? ;  D := ['-'] uint
+    Blanks may stand between any two tokens.  The sign is the atom's, so
+    '-2^2' is (-2)**2 = 4 and '-1*2^2' is -4.  'i' needs Q(sqrt -1), 'zeta3'
+    Q(sqrt -3), and D must be the field's d.
+
+    Size limits: no number may have more than _MAX_DIGITS digits, and every
+    term and product is held to MAX_COORDINATE_BITS.  A power is checked
+    before it is built.  For a rational atom whose larger coordinate has b
+    bits, atom**k has at least k*(b - 1) + 1 bits, so only powers over the
+    limit are refused.  An atom with a sqrt(d) part is charged k*b bits, an
+    estimate that can refuse a power that fits: '1/2+1/2*sqrt(5)^3000' (the
+    atom's power) has about 2,083 bits.  A root of unity (order 4 or 6, so
+    atom**12 == 1) is raised to k mod 12 instead.
+
+    Which error wins on a text with two faults: a run of over _MAX_DIGITS
+    digits anywhere raises DomainError before anything else is read.  Then
+    the terms are read left to right, each built and size-checked before the
+    text after it, so the first fault in that order wins: 'x*2^5000' raises
+    ParseError, '2^5000*x' DomainError.
+    """
+    long = _LONG_NUMBER_RE.search(text)
+    if long:
+        raise DomainError(f"a {len(long[0])}-digit number in element text is "
+                          f"over the limit of {MAX_COORDINATE_BITS} bits")
+    e, pos, end = None, 0, "*"
+    while end == "*":
+        m = _TERM_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"expected a term at {text[pos:]!r}")
+        a = _atom(m, field)
+        if m["k"]:
+            k, bits = int(m["k"]), _coordinate_bits(a)
+            if k >= 12 and bits <= 2 and a ** 12 == _new(field, 1, 0, 1):
+                k %= 12
+            if a.w:
+                _check_bits(k * bits, f"a power to the exponent {k}")
+            else:
+                _check_bits(k * (bits - 1) + 1, f"a power to the exponent {k}", "at least ")
+            a = a ** k
+        _check_bits(_coordinate_bits(a), "a term")
+        if e is not None:
+            a = e * a
+            _check_bits(_coordinate_bits(a), "the product")
+        e, pos, end = a, m.end(), m["end"]
+    if end is None:
+        raise ParseError(f"unexpected text at {text[pos:]!r}")
+    return e

@@ -145,6 +145,13 @@ class TestSeries:
         with pytest.raises(DomainError, match="nonnegative"):
             density_series(elem(QQ, 2), 2, -1)
 
+    def test_n_past_series_reach_names_the_valuation(self):
+        # density answers n = 4990; the series' top degree T(4998, 8) is over the budget
+        assert density(elem(QQ, 2), 2, 4990).value > 0
+        for n in (4990, 5001):
+            with pytest.raises(DomainError, match=f"valuation {n} too large for the series"):
+                density_series(elem(QQ, 2), 2, n)
+
     def test_unstable_tail_names_n_layer_and_cells(self, monkeypatch):
         mod = importlib.import_module("ordens.density")
         monkeypatch.setattr(mod, "total_degree", lambda q: q.ell ** (q.m + q.n) * (q.m + 1))

@@ -384,9 +384,107 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_element("9" * 5000, QQ)
 
+    def test_powers_of_roots_of_unity_reduce_mod_12(self):
+        z3 = FieldSpec(-3)
+        zeta3 = elem(z3, Fraction(-1, 2), Fraction(1, 2))
+        assert parse_element("i^5000", GAUSS) == elem(GAUSS, 1)
+        assert parse_element("zeta3^4097", z3) == zeta3 * zeta3
+        assert parse_element("1/2+1/2*sqrt(-3)^6001", z3) == elem(z3, Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(DomainError):  # charged k*b = 6000 bits, though it has about 2,083
+            parse_element("1/2+1/2*sqrt(5)^3000", FieldSpec(5))
+
+    def test_first_fault_in_reading_order_wins(self):
+        # the 1,234-digit term (4,100 bits) is refused before the '+3' after it is read
+        with pytest.raises(DomainError, match="a term needs 4100 bits"):
+            parse_element("9" * 1234 + "+3", QQ)
+        # an over-long digit run is refused before anything else, the 'x' included
+        with pytest.raises(DomainError, match="1300-digit"):
+            parse_element("x+" + "9" * 1300, QQ)
+        with pytest.raises(ParseError):
+            parse_element("x*2^5000", QQ)
+        with pytest.raises(ParseError):
+            parse_element("1/0", QQ)
+
     def test_format_round_trip(self):
         rng = random.Random(7)
         for field in (QQ, GAUSS, RT2, FieldSpec(-3)):
             for _ in range(25):
                 a = random_element(rng, field)
                 assert parse_element(format_element(a), field) == a
+
+
+_BLANKS = st.sampled_from(["", "", "", " ", "  ", "\t"])
+# one-token replacements: "" deletes a token or leaves a blank empty, "0" makes "1/0"
+_MUTANTS = ["", "0", "1", "00", "4096", "9" * 1300, " ", "x", "+", "-", "*", "/", "^",
+            "(", ")", "sqrt", "i", "zeta3"]
+
+
+@st.composite
+def element_texts(draw):
+    """(field, tokens, value): a well-formed element text as tokens with blanks between
+    them, and the Element built from the same parts by Element arithmetic."""
+    field = draw(st.sampled_from(FIELDS))
+    toks = []
+
+    def put(*parts):
+        for part in parts:
+            toks.extend([draw(_BLANKS), part])
+
+    def signed_rat(signs):
+        sign = draw(st.sampled_from(signs))
+        if sign:
+            put(sign)
+        num = draw(st.integers(0, 60))
+        put(str(num))
+        den = draw(st.integers(1, 40) | st.none())
+        if den is not None:
+            put("/", str(den))
+        return Fraction(-num if sign == "-" else num, den or 1)
+
+    def atom():
+        kinds = ["rat"] + ([] if field.is_rational else ["rat+sqrt", "sqrt"])
+        kinds += {-1: ["i"], -3: ["zeta3"]}.get(field.d, [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "i":
+            put("i")
+            return elem(field, 0, 1)
+        if kind == "zeta3":
+            put("zeta3")
+            return elem(field, Fraction(-1, 2), Fraction(1, 2))
+        x = signed_rat(["", "+", "-"])
+        if kind == "rat":
+            return elem(field, x)
+        x, y = (x, signed_rat(["+", "-"])) if kind == "rat+sqrt" else (0, x)
+        put("*", "sqrt", "(", *(["-"] if field.d < 0 else []), str(abs(field.d)), ")")
+        return elem(field, x, y)
+
+    value = None
+    for _ in range(draw(st.integers(1, 3))):
+        if value is not None:
+            put("*")
+        a = atom()
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 12))
+            put("^", str(k))
+            a = a ** k
+        value = a if value is None else value * a
+    toks.append(draw(_BLANKS))
+    return field, toks, value
+
+
+class TestGrammarProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(element_texts())
+    def test_text_parses_to_the_element_built_from_its_parts(self, item):
+        field, toks, value = item
+        assert parse_element("".join(toks), field) == value
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(element_texts(), st.data())
+    def test_one_token_mutation_raises_only_parse_or_domain_errors(self, item, data):
+        field, toks, _ = item
+        toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(st.sampled_from(_MUTANTS))
+        try:
+            parse_element("".join(toks), field)
+        except (ParseError, DomainError):
+            pass
