@@ -5,8 +5,9 @@ non-squarefree d, n > m, ...), 4 golden-table mismatch or failed internal
 invariant, 141 (128 + SIGPIPE) with no traceback when the reader closes
 stdout early, as `| head -1` does.
 
-Each subparser registers its command as args.run, and every command prints
-through _emit, which renders its json payload, its csv rows or its plain lines.
+Each subparser registers its command as args.run.  A command takes (args, a),
+a being the parsed --a or None, and returns (code, lines, payload[, rows]); main
+parses --field and then --a, calls it, and prints its answer through _emit.
 
 The argument parser is built once per process, at the first main call rather
 than at import, and reused by every later call; a shell command calls main
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -114,76 +114,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(out, fmt: str, lines: list[str], payload: dict,
           rows: list[dict] | None = None) -> None:
-    """Print one answer: the payload as json, the rows as csv, else the lines.
+    """Print a command's answer: the payload as json, the rows as csv, else the lines.
 
-    A command without csv rows prints its plain lines for --format csv.
+    main is the one caller.  csv rows end in CRLF, as csv.writer writes them.  A
+    command without csv rows prints its plain lines for --format csv.
     """
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True), file=out)
     elif fmt == "csv" and rows is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(out)
         w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow([r.get(c, "") for c in CSV_HEADER])
-        print(buf.getvalue().rstrip("\n"), file=out)
+        w.writerows([r.get(c, "") for c in CSV_HEADER] for r in rows)
     else:
         print("\n".join(lines), file=out)
 
 
-def _cmd_density(args, out) -> int:
-    a = parse_element(args.a, parse_field(args.field))
+def _cmd_density(args, a) -> tuple:
     dv = density(a, args.ell, args.val)
     key = {"field": args.field, "a": args.a, "ell": args.ell, "n": args.val}
     exact = str(dv.value)
-    _emit(out, args.format, [exact],
-          {**key, "exact": exact, "approx": _approx(dv.value), "method": dv.method,
-           "branch": dv.branch, "params": {k: str(v) for k, v in dv.params}},
-          [{**key, "exact": exact}])
-    return 0
+    return (0, [exact],
+            {**key, "exact": exact, "approx": _approx(dv.value), "method": dv.method,
+             "branch": dv.branch, "params": {k: str(v) for k, v in dv.params}},
+            [{**key, "exact": exact}])
 
 
-def _cmd_kummer(args, out) -> int:
-    a = parse_element(args.a, parse_field(args.field))
+def _cmd_kummer(args, a) -> tuple:
     dec, prof, special = analyze(a, args.ell)
     q = KummerQuery(args.ell, args.m, args.n, dec, prof, special)
     rel, tot = kummer_relative_degree(q), total_degree(q)
-    _emit(out, args.format, [f"relative_degree {rel}", f"total_degree {tot}"],
-          {"relative_degree": rel, "total_degree": tot,
-           "m": args.m, "n": args.n, "special": special})
-    return 0
+    return (0, [f"relative_degree {rel}", f"total_degree {tot}"],
+            {"relative_degree": rel, "total_degree": tot,
+             "m": args.m, "n": args.n, "special": special})
 
 
 def _key_values(payload: dict) -> list[str]:
     return [" ".join(f"{k}={v}" for k, v in payload.items())]
 
 
-def _cmd_decompose(args, out) -> int:
-    a = parse_element(args.a, parse_field(args.field))
+def _cmd_decompose(args, a) -> tuple:
     dec = decompose(a, args.ell)
     payload = {"case": dec.case.value}
     if dec.case is not Case.ROOT_OF_UNITY:
         payload.update(d=dec.depth, b=str(dec.base), xi=str(dec.unit), r=dec.unit_level)
-    _emit(out, args.format, _key_values(payload), payload)
-    return 0
+    return 0, _key_values(payload), payload
 
 
-def _cmd_profile(args, out) -> int:
+def _cmd_profile(args, a) -> tuple:
     field = parse_field(args.field)
     prof = cyclo_profile(field, args.ell)
-    payload = {
-        "field": str(field), "ell": prof.ell,
-        "has_zeta_ell": prof.has_zeta_ell, "has_zeta4": prof.has_zeta4,
-        "degree": prof.degree, "stall": prof.stall,
-        "zeta4_stall": prof.zeta4_stall,
-        "tower": prof.tower.value if prof.tower else None,
-    }
-    _emit(out, args.format, _key_values(payload), payload)
-    return 0
+    payload = {"field": str(field), **prof._asdict(),
+               "tower": prof.tower.value if prof.tower else None}
+    return 0, _key_values(payload), payload
 
 
-def _cmd_scan(args, out) -> int:
-    a = parse_element(args.a, parse_field(args.field))
+def _cmd_scan(args, a) -> tuple:
     rep = empirical_density(a, args.ell, args.bound)
     lines = [f"counted {rep.counted} slots, excluded primes {list(rep.excluded)}"]
     rows = []
@@ -210,11 +195,10 @@ def _cmd_scan(args, out) -> int:
         lines.append(f"max_abs_error {err} ({_approx(err)})")
         payload.update(exact={str(n): str(v) for n, v in rep.exact.items()},
                        max_abs_error=str(err), max_abs_error_approx=_approx(err))
-    _emit(out, args.format, lines, payload, rows)
-    return 0
+    return 0, lines, payload, rows
 
 
-def _cmd_tables(args, out) -> int:
+def _cmd_tables(args, a) -> tuple:
     results, diffs = tables.check_table(args.which)
     lines = [f"{r.field}\t{r.a}\tl={r.ell}\tn={r.n}\t{got}"
              + ("" if got == r.expected else f"  MISMATCH expected {r.expected}")
@@ -226,11 +210,10 @@ def _cmd_tables(args, out) -> int:
                         for r, got in results]}
     rows = [{"field": r.field, "a": r.a, "ell": r.ell, "n": r.n, "exact": str(got)}
             for r, got in results]
-    _emit(out, args.format, lines, payload, rows)
-    return 4 if diffs else 0
+    return 4 if diffs else 0, lines, payload, rows
 
 
-def _cmd_selfcheck(args, out) -> int:
+def _cmd_selfcheck(args, a) -> tuple:
     lines, counts, checks = [], [], []
     for which in (1, 2, 3, 4):
         n = len(tables.check_table(which)[1])
@@ -250,21 +233,20 @@ def _cmd_selfcheck(args, out) -> int:
                      f"series={series} {'ok' if ok else 'MISMATCH'}")
     passed = not any(c["diffs"] for c in counts) and all(c["ok"] for c in checks)
     lines.append(f"selfcheck {'passed' if passed else 'FAILED'}")
-    _emit(out, args.format, lines, {"tables": counts, "series": checks, "passed": passed})
-    return 0 if passed else 4
+    return 0 if passed else 4, lines, {"tables": counts, "series": checks, "passed": passed}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    out = out or sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):  # argparse reads text like -2/3 as an option
         if argv[i] == "--a" and argv[i + 1][:1] == "-" and argv[i + 1][:2] != "--":
             argv[i:i + 2] = [f"--a={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "ell", None) is not None:
+        if "ell" in args:
             _check_ell(args.ell)
-        return args.run(args, out)
+        a = parse_element(args.a, parse_field(args.field)) if "a" in args else None
+        code, *answer = args.run(args, a)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -274,6 +256,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 4
+    _emit(out or sys.stdout, args.format, *answer)
+    return code
 
 
 def entrypoint() -> None:

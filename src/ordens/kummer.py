@@ -4,12 +4,11 @@ kummer_relative_degree computes [K(zeta_{l^m}, a**(1/l**n)) : K(zeta_{l^m})]
 from scalars only: the prime l, levels m >= n, the power-times-unit normal
 form (depth d, unit level r), the tower profile (stall t, zeta4_stall s)
 and the halving flag.  When the tower over K is cyclic (l odd, or i in K)
-the degree is l**max(0, n-d) for plain powers and l**max(0, n-d, n+r-m)
-for power-times-unit, after lifting m to t (the fields coincide below the
-stall).  For l = 2 without i the plain-power degree is 2**max(0, n-d),
-dropping to 2**max(0, n-d-1) once m passes the halving threshold s+1; the
-negated-power case equals the degree for -a except at three boundary
-layers handled explicitly below.
+the degree is l**max(0, n-d, n+r-m), after lifting m to t (the fields
+coincide below the stall); plain powers have r = 0.  For l = 2 without i the
+plain-power degree is 2**max(0, n-d), dropping to 2**max(0, n-d-1) once m
+passes the halving threshold s+1; the negated-power case equals the degree
+for -a except at three boundary layers handled explicitly below.
 """
 
 from __future__ import annotations
@@ -56,23 +55,14 @@ def kummer_relative_degree(q: KummerQuery) -> int:
     d, r = q.decomp.depth, q.decomp.unit_level
 
     if ell != 2 or q.profile.has_zeta4:
-        if q.decomp.case is Case.POWER:
-            return ell ** max(0, n - d)
         m = max(q.m, q.profile.stall)  # levels below the stall coincide
-        return ell ** max(0, n - d, n + r - m)
+        return ell ** max(0, n - d, n + r - m)  # r = 0 for plain powers
 
     s = q.profile.zeta4_stall
-
-    def power_degree(m: int) -> int:
-        if q.special and m >= s + 1:
-            return 2 ** max(0, n - d - 1)
-        return 2 ** max(0, n - d)
-
+    minus = 2 ** max(0, n - d - (q.special and q.m > s))  # the plain-power degree
     if q.decomp.case is Case.POWER:
-        return power_degree(q.m)
-
+        return minus
     # a = -b**(2**d) with d > 0: compare with the degree for -a
-    minus = power_degree(q.m)
     if q.m == n == 1:
         return 2  # sqrt(-a) is rational here, sqrt(a) is not
     if q.m == n >= s and minus == 1:

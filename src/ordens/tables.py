@@ -39,18 +39,17 @@ _TABLE3 = [
     (("16",), "5/6"), (("-16",), "1/12"), (("16*i", "-16*i"), "1/48"),
 ]
 
-# l = 2 without i.  The paired column covers Q(sqrt 2) and Q(sqrt -2) at
-# once; "same"/"opp" rows resolve the +/- sign per field (matching sign of
-# d, or the opposite one).
+# l = 2 without i.  A paired row gives its element over Q(sqrt 2), then over
+# Q(sqrt -2): the texts differ where the density follows the sign of d.
 _TABLE4_SQRT3 = [
     ("3", "2/3"), ("-3", "1/6"), ("9", "5/6"), ("-9", "1/12"),
     ("81", "11/12"), ("-81", "1/24"), ("2", "7/24"), ("-2", "7/24"),
     ("4", "7/12"), ("-4", "1/3"), ("16", "11/12"), ("-16", "1/24"),
 ]
 _TABLE4_SQRT_PM2 = [
-    ("3", "7/24"), ("-3", "7/24"), ("9", "7/12"), ("-9", "1/12"),
-    ("81", "2/3"), ("-81", "1/6"), ("same:2", "7/12"), ("opp:2", "1/12"),
-    ("4", "2/3"), ("-4", "1/6"), ("16", "5/6"), ("-16", "1/12"),
+    ("3", "3", "7/24"), ("-3", "-3", "7/24"), ("9", "9", "7/12"), ("-9", "-9", "1/12"),
+    ("81", "81", "2/3"), ("-81", "-81", "1/6"), ("2", "-2", "7/12"), ("-2", "2", "1/12"),
+    ("4", "4", "2/3"), ("-4", "-4", "1/6"), ("16", "16", "5/6"), ("-16", "-16", "1/12"),
 ]
 
 
@@ -98,15 +97,9 @@ def table_rows(which: int) -> list[Row]:
             rows.extend(Row("Q(sqrt -1)", a, 2, 0, _F(v)) for a in elems)
     elif which == 4:
         rows = [Row("Q(sqrt 3)", a, 2, 0, _F(v)) for a, v in _TABLE4_SQRT3]
-        for a, v in _TABLE4_SQRT_PM2:
-            for field in ("Q(sqrt 2)", "Q(sqrt -2)"):
-                if a.startswith(("same:", "opp:")):
-                    tag, mag = a.split(":")
-                    neg = (field == "Q(sqrt -2)") == (tag == "same")
-                    text = f"-{mag}" if neg else mag
-                else:
-                    text = a
-                rows.append(Row(field, text, 2, 0, _F(v)))
+        for over_2, over_minus_2, v in _TABLE4_SQRT_PM2:
+            rows += [Row("Q(sqrt 2)", over_2, 2, 0, _F(v)),
+                     Row("Q(sqrt -2)", over_minus_2, 2, 0, _F(v))]
     else:
         raise ValueError(f"no table {which}")
     return rows

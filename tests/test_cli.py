@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ordens
+from ordens import tables
 from ordens.cli import build_parser, entrypoint, main
 
 
@@ -248,6 +249,58 @@ class TestSelfcheck:
 
     def test_csv_prints_the_plain_lines(self):
         assert run(["--format", "csv", "selfcheck"]) == run(["selfcheck"])
+
+
+class TestRendering:
+    """What main prints of a command's answer in each format."""
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ell", "2", "--field", "Q", "--a", "3"],
+        ["scan", "--ell", "2", "--field", "Q", "--a", "3", "--bound", "3000", "--compare"],
+    ], ids=["density", "scan_compare"])
+    def test_csv_lines_end_in_crlf(self, argv):
+        code, out = run(["--format", "csv", *argv])
+        lines = out.split("\r\n")
+        assert code == 0 and len(lines) >= 3 and lines[-1] == ""
+        assert not any("\r" in line or "\n" in line for line in lines)
+
+    def test_profile_plain_key_order(self):
+        code, out = run(["profile", "--ell", "2", "--field", "Q(sqrt 2)"])
+        assert code == 0 and out == ("field=Q(sqrt 2) ell=2 has_zeta_ell=True has_zeta4=False "
+                                     "degree=1 stall=1 zeta4_stall=3 tower=plus\n")
+
+    def test_decompose_plain_key_order(self):
+        code, out = run(["decompose", "--ell", "2", "--field", "Q(sqrt -1)", "--a", "4"])
+        assert code == 0 and out == "case=power_times_unit d=2 b=1+1*sqrt(-1) xi=-1 r=1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["kummer", "--ell", "2", "--field", "Q", "--a", "2", "--m", "3", "--n", "1"],
+        ["profile", "--ell", "2", "--field", "Q(sqrt 2)"],
+        ["decompose", "--ell", "2", "--field", "Q(sqrt -1)", "--a", "4"],
+    ], ids=["kummer", "profile", "decompose"])
+    def test_csv_without_rows_prints_the_plain_lines(self, argv):
+        plain = run(argv)
+        assert plain[0] == 0 and run(["--format", "csv", *argv]) == plain
+
+
+class TestGoldenMismatch:
+    """A wrong golden value is reported and exits 4."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_table2(self, monkeypatch):
+        monkeypatch.setattr(tables, "_TABLE2", [("Q(sqrt 3)", "2", "1/8"), *tables._TABLE2[1:]])
+
+    def test_tables(self):
+        code, out = run(["tables", "--which", "2"])
+        assert code == 4
+        assert "Q(sqrt 3)\t2\tl=3\tn=0\t5/8  MISMATCH expected 1/8\n" in out
+        assert out.endswith("12 rows, 1 diffs\n")
+
+    def test_selfcheck(self):
+        code, out = run(["selfcheck"])
+        assert code == 4 and "table 2: 1 diffs\n" in out and out.endswith("selfcheck FAILED\n")
+        code, out = run(["--format", "json", "selfcheck"])
+        assert code == 4 and json.loads(out)["passed"] is False
 
 
 class TestExitCodes:
