@@ -170,16 +170,6 @@ class Element:
     def conjugate(self) -> Element:
         return _new(self.field, self.u, -self.w, self.den)
 
-    def norm(self) -> Fraction:
-        # degree-1 convention for Q: norm(x) = x
-        if self.field.is_rational:
-            return Fraction(self.u, self.den)
-        return Fraction(self.u * self.u - self.w * self.w * self.field.d, self.den * self.den)
-
-    def trace(self) -> Fraction:
-        # degree-1 convention for Q: trace(x) = x
-        return Fraction(self.u if self.field.is_rational else 2 * self.u, self.den)
-
     def __str__(self) -> str:
         return format_element(self)
 

@@ -1,7 +1,7 @@
-"""Exact rational roots of monic polynomials over Q.
+"""Exact rational roots of monic integer polynomials.
 
-A monic integer polynomial has all of its rational roots in Z, so after
-clearing denominators the search reduces to integer roots, which lie within
+The input is monic over Z, and no denominators are cleared here: every
+rational root of such a polynomial is an integer, and the roots lie within
 Fujiwara's bound 2 * max_k |g[n-k]|**(1/k).  Degree two is solved directly
 with an exact integer square root.  Other degrees are searched on the
 integers alone.  g is monotone on every stretch where its forward
@@ -9,20 +9,19 @@ difference g(u+1) - g(u) keeps one sign; the difference has one degree
 less, so its sign stretches come from the same search, recursively, down
 to a constant.  Bisection in each monotone run finds where g changes sign,
 and the roots are the stretches where g evaluates to exactly zero: repeated
-roots need no squarefree step, and no Fraction enters the search.
+roots need no squarefree step.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .field import _int_nth_root
 
 Stretch = tuple[int, int, int]  # (first, last, sign of g on first..last)
 
 
-def poly_eval(poly: list, x) -> Fraction:
+def poly_eval(poly: list[int], x: int) -> int:
     acc = 0
     for c in reversed(poly):
         acc = acc * x + c
@@ -77,8 +76,12 @@ def _sign_stretches(g: list[int], lo: int, hi: int) -> list[Stretch]:
     return out
 
 
-def _integer_roots(g: list[int]) -> list[int]:
-    """All integer roots of a monic integer polynomial, ascending."""
+def rational_roots_monic(g: list[int]) -> list[int]:
+    """All rational roots of a monic integer polynomial: integers, ascending."""
+    if g[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    if len(g) == 1:
+        return []
     if len(g) == 3:  # the quadratic formula, about 25 times faster than the search
         disc = g[1] * g[1] - 4 * g[0]
         if disc < 0:
@@ -91,19 +94,3 @@ def _integer_roots(g: list[int]) -> list[int]:
     bound = 2 * max(_int_nth_root(abs(g[n - k]), k) + 1 for k in range(1, n + 1))
     return [u for first, last, s in _sign_stretches(g, -bound, bound) if s == 0
             for u in range(first, last + 1)]
-
-
-def rational_roots_monic(poly: list) -> list[Fraction]:
-    """All rational roots of a monic polynomial with rational coefficients."""
-    poly = [Fraction(c) for c in poly]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    if poly[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    if len(poly) == 1:
-        return []
-    deg = len(poly) - 1
-    scale = lcm(*(c.denominator for c in poly))
-    # substitute x = u/scale, clear denominators: stays monic over Z
-    g = [int(c * scale ** (deg - i)) for i, c in enumerate(poly)]
-    return [Fraction(u, scale) for u in _integer_roots(g)]

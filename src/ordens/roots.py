@@ -1,29 +1,32 @@
 """Roots of unity, exact l-th roots, and the power-times-unit normal form.
 
-The l-th root solver works through a norm/trace resolvent: a root b of
-x**l = c has rational norm eta with eta**l = norm(c), and its trace tau
-satisfies the power-sum recurrence s_0 = 2, s_1 = tau,
-s_k = tau*s_{k-1} - eta*s_{k-2}, with s_l(tau) = trace(c).  Rational
-roots tau of that monic polynomial are recovered exactly (ratroots), the
-sqrt coordinate comes from v**2 = (tau**2 - 4*eta) / (4*d), and every
-candidate is verified by exact exponentiation before being returned.
+The l-th root solver works through a norm/trace resolvent over Z.  A root b
+of x**l = c = (u + w*sqrt(d)) / den gives B = den*b, an algebraic integer
+with B**l = C = den**(l-1) * (u + w*sqrt(d)).  Its norm eta is an integer
+with eta**l = norm(C), and its trace tau is an integer root (ratroots) of
+s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2}.
+Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
+candidate B/den is verified by exact exponentiation before being returned.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-from .field import DomainError, Element, FieldSpec, InvariantError, rational_nth_root, valuation
+from .field import DomainError, Element, FieldSpec, InvariantError, _make, _new, rational_nth_root, valuation
 from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
 
 # Largest l for which lth_roots works over a quadratic field.  The resolvent
-# has degree l; at MAX_COORDINATE_BITS, one with no root takes about 2.3 s
-# to search at l = 61 and 5 s at l = 101.
+# has degree l; for integral c at MAX_COORDINATE_BITS, one with no root takes
+# about 2.3 s to search at l = 61.  Its bisection costs a poly_eval per bit of
+# a range that scales with den(c) = den(b)**l: b**l with 4096 // l - 8 bit
+# coordinates over a 7-power den takes 'ordens density' about 7 s at l = 5
+# (60,750 evaluations), 23 s at l = 7 and 140 s at l = 11.
 MAX_RESOLVENT_DEGREE = 61
 
 
@@ -38,7 +41,7 @@ def unit_orders(field: FieldSpec) -> dict[Element, int]:
         i = Element(field, 0, 1)
         return {one: 1, -one: 2, i: 4, -i: 4}
     if field.d == -3:
-        z = Element(field, Fraction(-1, 2), Fraction(1, 2))
+        z = _new(field, -1, 1, 2)
         return {one: 1, z: 3, z * z: 3, -one: 2, -z: 6, -(z * z): 6}
     return {one: 1, -one: 2}
 
@@ -59,11 +62,10 @@ def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
     return [u for u, o in unit_orders(field).items() if o == ell ** valuation(o, ell)]
 
 
-def _power_sum_poly(ell: int, eta: Fraction) -> list[Fraction]:
-    s0 = [Fraction(2)]
-    s1 = [Fraction(0), Fraction(1)]
+def _power_sum_poly(ell: int, eta: int) -> list[int]:
+    s0, s1 = [2], [0, 1]
     for _ in range(ell - 1):
-        nxt = [Fraction(0)] + s1
+        nxt = [0] + s1
         for i, c in enumerate(s0):
             nxt[i] -= eta * c
         s0, s1 = s1, nxt
@@ -81,15 +83,18 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
         raise DomainError(f"l-th roots over {field} need l <= {MAX_RESOLVENT_DEGREE}, "
                           f"got {ell}")
     roots: set[Element] = set()
-    trace_c = c.trace()
-    d = field.d
-    for eta in rational_nth_root(c.norm(), ell):
+    d, den = field.d, c.den
+    for r in rational_nth_root((c * c.conjugate()).x, ell):  # norm(c) = r**ell, r = norm(b)
+        eta = int(r * den * den)  # norm(B) for B = den*b, an algebraic integer
         poly = _power_sum_poly(ell, eta)
-        poly[0] -= trace_c
+        poly[0] -= 2 * den ** (ell - 1) * c.u  # trace(B**ell), as B**ell = den**ell * c
         for tau in rational_roots_monic(poly):
-            vv = (tau * tau - 4 * eta) / (4 * d)
-            for v in rational_nth_root(vv, 2):
-                cand = Element(field, tau / 2, v)
+            vv, rem = divmod(tau * tau - 4 * eta, d)
+            s = isqrt(max(vv, 0))
+            if rem or s * s != vv:
+                continue
+            for v in (s, -s) if s else (0,):
+                cand = _make(field, tau, v, 2 * den)
                 if cand ** ell == c:
                     roots.add(cand)
     return roots

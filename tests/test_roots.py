@@ -116,13 +116,14 @@ class TestLthRoots:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 13]), st.sampled_from([3, 5, 7, 11, 13]),
+@given(st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 13]), st.sampled_from([2, 3, 5, 7, 11, 13]),
        st.fractions(-40, 40, max_denominator=6), st.fractions(-40, 40, max_denominator=6))
 def test_lth_roots_of_a_power_are_its_unit_twists(d, ell, x, y):
-    """Odd l over Q(sqrt d): the l-th roots of b**l are exactly b times the l-th roots of 1."""
+    """Over Q(sqrt d): the l-th roots of b**l are exactly b times the l-th roots of 1."""
     field = FieldSpec(d)
     b = Element(field, x, y) if x or y else Element(field, 2)
-    assert lth_roots(b ** ell, ell) == {b * z for z in roots_of_unity(field, ell)}
+    one = Element(field, 1)
+    assert lth_roots(b ** ell, ell) == {b * z for z in roots_of_unity(field, ell) if z ** ell == one}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
