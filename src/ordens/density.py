@@ -8,8 +8,8 @@ D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
 a**(l**k) is a's own shifted by k (Decomposition.raised), so no power of a
 is built.  density_series re-derives D(a, n) independently from the
 paper's joint law for (v, k), v = v_l(Np - 1) and k the l-valuation of the
-order of a mod p: with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from the
-Kummer degree module, T(0, 0) = 1 and j = m - n,
+order of a mod p: with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from
+kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
 
     P(m, 0) = 1/T(m, m) - 1/T(m+1, m)
     P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
@@ -30,7 +30,7 @@ from operator import sub
 
 from .cyclo import CycloProfile, cyclo_profile, special_case_flag
 from .field import DomainError, Element, InvariantError, valuation
-from .kummer import MAX_VALUATION_BITS, KummerQuery, total_degree
+from .kummer import MAX_VALUATION_BITS, kummer_degree
 from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
 
 
@@ -69,12 +69,13 @@ def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
     return dec, prof, special
 
 
-def _closed_zeta4_free_power(d: int, s: int, eps: Fraction) -> Fraction:
+def _zeta4_free_power(d: int, s: int, h: int) -> tuple[int, int]:
+    """D(b**(2**d)) for l = 2 without i and eps = 2**-h, as (numerator, denominator)."""
     if d == 0:
-        return Fraction(1, 4) + eps / 3 * Fraction(2) ** -s
+        return (3 << (s + h)) + 4, 12 << (s + h)  # 1/4 + eps/3 * 2**-s
     if d < s:
-        return Fraction(1, 2) + eps / 3 * Fraction(2) ** (d - s)
-    return 1 - eps / 6 * Fraction(2) ** (s - d)
+        return (3 << (s - d + h)) + 2, 6 << (s - d + h)  # 1/2 + eps/3 * 2**(d-s)
+    return (6 << (d - s + h)) - 1, 6 << (d - s + h)  # 1 - eps/6 * 2**(s-d)
 
 
 def density_closed(a: Element, ell: int) -> DensityValue:
@@ -92,48 +93,49 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
         value = Fraction(1) if order % ell else Fraction(0)
         return DensityValue(value, "closed_form", "torsion", (("order", order),))
     d, r, t = dec.depth, dec.unit_level, prof.stall
-    ellf = Fraction(ell)
 
     if ell != 2 or prof.has_zeta4:
         if dec.case is Case.POWER_TIMES_UNIT:
-            value = Fraction(ell, ell + 1) * ellf ** (t - d - 2 * r)
+            e = t - d - 2 * r + 1  # l/(l+1) * l**(t-d-2r)
+            value = Fraction(ell ** max(e, 0), (ell + 1) * ell ** max(-e, 0))
             return DensityValue(value, "closed_form", "zeta-present/power-unit",
                                 (("d", d), ("r", r), ("t", t)))
-        # P(d, t): D(a) for a plain power when the l-th roots of unity lie in K
-        if d <= t:
-            power = Fraction(ell, ell + 1) * ellf ** (d - t)
-        else:
-            power = 1 - Fraction(1, ell + 1) * ellf ** (t - d)
+        # P(d, t): D(a) for a plain power when the l-th roots of unity lie in K,
+        # l/(l+1) * l**(d-t) up to d = t and 1 - l**(t-d)/(l+1) past it
+        den = (ell + 1) * ell ** abs(t - d)
+        num = ell if d <= t else den - 1
         if prof.has_zeta_ell or prof.has_zeta4:
-            return DensityValue(power, "closed_form", "zeta-present/power", (("d", d), ("t", t)))
-        # the l-th roots of unity live strictly above K, so a is a plain power
-        return DensityValue(1 - (1 - power) / prof.degree, "closed_form", "zeta-absent",
+            return DensityValue(Fraction(num, den), "closed_form", "zeta-present/power",
+                                (("d", d), ("t", t)))
+        # the l-th roots of unity live strictly above K, so a is a plain power:
+        # 1 - (1 - P(d, t)) / degree
+        value = Fraction(den * (prof.degree - 1) + num, den * prof.degree)
+        return DensityValue(value, "closed_form", "zeta-absent",
                             (("d", d), ("t", t), ("degree", prof.degree)))
 
     # l = 2 and i not in K
-    s = prof.zeta4_stall
-    eps = Fraction(1, 2) if special else Fraction(1)
-    params = (("d", d), ("s", s), ("eps", eps))
+    s, h = prof.zeta4_stall, int(special)  # eps = 2**-h
+    params = (("d", d), ("s", s), ("eps", Fraction(1, 2 ** h)))
+    num, den = _zeta4_free_power(d, s, h)
     if dec.case is Case.POWER:
-        value = _closed_zeta4_free_power(d, s, eps)
-        return DensityValue(value, "closed_form", "zeta4-absent/power", params)
-    # a = -b**(2**d), d > 0: derive from the density of -a and check the
-    # equivalent closed form, so both printed shapes guard each other.
-    minus = _closed_zeta4_free_power(d, s, eps)
+        return DensityValue(Fraction(num, den), "closed_form", "zeta4-absent/power", params)
+    # a = -b**(2**d), d > 0: derive from minus = num/den, the density of -a, and
+    # check the equivalent closed form, so both printed shapes guard each other.
     if d < s - 1:
-        value = minus - Fraction(1, 2)
-        check = eps / 3 * Fraction(2) ** (d - s)
+        value = 2 * num - den, 2 * den  # minus - 1/2
+        check = 1, 3 << (s - d + h)  # eps/3 * 2**(d-s)
     elif d == s - 1:
-        value = minus - eps / 2
-        check = 1 / (6 * eps)
+        value = (num << (1 + h)) - den, den << (1 + h)  # minus - eps/2
+        check = 1 << h, 6  # 1/(6*eps)
     else:
-        value = minus - 1 + eps / 4 * Fraction(2) ** (s - d)
-        check = eps / 12 * Fraction(2) ** (s - d)
-    if value != check:
+        q = 4 << (d - s + h)
+        value = (num - den) * q + den, den * q  # minus - 1 + eps/4 * 2**(s-d)
+        check = 1, 12 << (d - s + h)  # eps/12 * 2**(s-d)
+    if value[0] * check[1] != check[0] * value[1]:
         raise InvariantError(
             f"negated-power forms disagree for -b**(2**{d}) with b = {dec.base}: "
-            f"{value} vs {check}")
-    return DensityValue(value, "closed_form", "zeta4-absent/negative", params)
+            f"{Fraction(*value)} vs {Fraction(*check)}")
+    return DensityValue(Fraction(*value), "closed_form", "zeta4-absent/negative", params)
 
 
 def density(a: Element, ell: int, n: int = 0) -> DensityValue:
@@ -182,7 +184,7 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
                           f"<= {MAX_VALUATION_BITS}")
     # per cell: T(m, j), T(m + 1, j) for j = m - n, then for j = m - n + 1 when n >= 1
     shifts = (0, 1) if n else (0,)
-    degrees = [total_degree(KummerQuery(ell, lev, m - n + i, dec, prof, special)) if lev else 1
+    degrees = [kummer_degree(ell, lev, m - n + i, dec, prof, special) if lev else 1
                for m in range(n, top + 1) for i in shifts for lev in (m, m + 1)]
     den = lcm(*degrees)
     nums = [den // t for t in degrees]

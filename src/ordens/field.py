@@ -127,7 +127,7 @@ class Element:
                 and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash((self.field.d, self.u, self.w, self.den))
+        return hash((self.field.d or 0, self.u, self.w, self.den))
 
     def _coerce(self, other: object) -> Element:
         if type(other) is not Element:

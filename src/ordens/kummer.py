@@ -1,14 +1,17 @@
 """Degrees of Kummer layers over cyclotomic levels.
 
-kummer_relative_degree computes [K(zeta_{l^m}, a**(1/l**n)) : K(zeta_{l^m})]
-from scalars only: the prime l, levels m >= n, the power-times-unit normal
-form (depth d, unit level r), the tower profile (stall t, zeta4_stall s)
-and the halving flag.  When the tower over K is cyclic (l odd, or i in K)
-the degree is l**max(0, n-d, n+r-m), after lifting m to t (the fields
-coincide below the stall); plain powers have r = 0.  For l = 2 without i the
-plain-power degree is 2**max(0, n-d), dropping to 2**max(0, n-d-1) once m
-passes the halving threshold s+1; the negated-power case equals the degree
-for -a except at three boundary layers handled explicitly below.
+kummer_degree computes [K(zeta_{l^m}, a**(1/l**n)) : K], the cyclotomic
+degree times the Kummer step over K(zeta_{l^m}), from scalars only and
+unchecked, for density_series; KummerQuery, total_degree and
+kummer_relative_degree are its validated form for the kummer command.  The
+step depends on the prime l, levels m >= n, the power-times-unit normal form
+(depth d, unit level r), the tower profile (stall t, zeta4_stall s) and the
+halving flag.  When the tower over K is cyclic (l odd, or i in K) it is
+l**max(0, n-d, n+r-m), after lifting m to t (the fields coincide below the
+stall); plain powers have r = 0.  For l = 2 without i the plain-power step is
+2**max(0, n-d), dropping to 2**max(0, n-d-1) once m passes the halving
+threshold s+1; the negated-power case equals the step for -a except at three
+boundary layers handled explicitly below.
 """
 
 from __future__ import annotations
@@ -46,32 +49,38 @@ class KummerQuery(namedtuple("KummerQuery", "ell m n decomp profile special")):
         return super().__new__(cls, ell, m, n, decomp, profile, special)
 
 
-def kummer_relative_degree(q: KummerQuery) -> int:
-    if q.decomp.case is Case.ROOT_OF_UNITY:
-        raise DomainError("root-of-unity inputs have no Kummer normal form")
-    if q.n == 0:
-        return 1
-    ell, n = q.ell, q.n
-    d, r = q.decomp.depth, q.decomp.unit_level
+def kummer_degree(ell: int, m: int, n: int, dec: Decomposition, prof: CycloProfile,
+                  special: bool) -> int:
+    """[K(zeta_{l^m}, a**(1/l**n)) : K] for a non-torsion normal form, 0 <= n <= m."""
+    cyc = cyclotomic_degree(prof, m)
+    if n == 0:
+        return cyc
+    d, r = dec.depth, dec.unit_level
 
-    if ell != 2 or q.profile.has_zeta4:
-        m = max(q.m, q.profile.stall)  # levels below the stall coincide
-        return ell ** max(0, n - d, n + r - m)  # r = 0 for plain powers
+    if ell != 2 or prof.has_zeta4:
+        # levels below the stall coincide; r = 0 for plain powers
+        return cyc * ell ** max(0, n - d, n + r - max(m, prof.stall))
 
-    s = q.profile.zeta4_stall
-    minus = 2 ** max(0, n - d - (q.special and q.m > s))  # the plain-power degree
-    if q.decomp.case is Case.POWER:
-        return minus
+    s = prof.zeta4_stall
+    minus = 2 ** max(0, n - d - (special and m > s))  # the plain-power degree
+    if dec.case is Case.POWER:
+        return cyc * minus
     # a = -b**(2**d) with d > 0: compare with the degree for -a
-    if q.m == n == 1:
-        return 2  # sqrt(-a) is rational here, sqrt(a) is not
-    if q.m == n >= s and minus == 1:
-        return 2  # the layer only just acquired a primitive 2^n-th root of -1
-    if q.special and q.m == n == s == d + 1 and minus == 2:
-        return 1  # sqrt(b) and zeta_{2^{s+1}} generate the same quadratic step
-    return minus
+    if m == n == 1:
+        return cyc * 2  # sqrt(-a) is rational here, sqrt(a) is not
+    if m == n >= s and minus == 1:
+        return cyc * 2  # the layer only just acquired a primitive 2^n-th root of -1
+    if special and m == n == s == d + 1 and minus == 2:
+        return cyc  # sqrt(b) and zeta_{2^{s+1}} generate the same quadratic step
+    return cyc * minus
 
 
 def total_degree(q: KummerQuery) -> int:
     """[K(zeta_{l^m}, a**(1/l**n)) : K]."""
-    return cyclotomic_degree(q.profile, q.m) * kummer_relative_degree(q)
+    if q.decomp.case is Case.ROOT_OF_UNITY:
+        raise DomainError("root-of-unity inputs have no Kummer normal form")
+    return kummer_degree(*q)
+
+
+def kummer_relative_degree(q: KummerQuery) -> int:
+    return total_degree(q) // cyclotomic_degree(q.profile, q.m)

@@ -1,12 +1,13 @@
 """Roots of unity, exact l-th roots, and the power-times-unit normal form.
 
 The l-th root solver works through a norm/trace resolvent over Z.  A root b
-of x**l = c = (u + w*sqrt(d)) / den gives B = den*b, an algebraic integer
-with B**l = C = den**(l-1) * (u + w*sqrt(d)).  Its norm eta is an integer
-with eta**l = norm(C), and its trace tau is an integer root (ratroots) of
+of x**l = c = (u + w*sqrt(d)) / den gives B = S*b, an algebraic integer with
+B**l = C = (S**l / den) * (u + w*sqrt(d)), where the scale S is den**(1/l)
+when that is an integer and den otherwise.  Its norm eta is an integer with
+eta**l = norm(C), and its trace tau is an integer root (ratroots) of
 s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2}.
 Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
-candidate B/den is verified by exact exponentiation before being returned.
+candidate B/S is verified by exact exponentiation before being returned.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .field import DomainError, Element, FieldSpec, InvariantError, _make, _new, rational_nth_root, valuation
+from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _new,
+                    rational_nth_root, valuation)
 from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
@@ -24,9 +26,10 @@ _MAX_DEPTH = 64
 # Largest l for which lth_roots works over a quadratic field.  The resolvent
 # has degree l; for integral c at MAX_COORDINATE_BITS, one with no root takes
 # about 2.3 s to search at l = 61.  Its bisection costs a poly_eval per bit of
-# a range that scales with den(c) = den(b)**l: b**l with 4096 // l - 8 bit
-# coordinates over a 7-power den takes 'ordens density' about 7 s at l = 5
-# (60,750 evaluations), 23 s at l = 7 and 140 s at l = 11.
+# a range that scales with S.  When den(c) is an l-th power, S is its l-th
+# root: b**l with 4096 // l - 8 bit coordinates over a 7-power den takes
+# 'ordens density' about 0.2 s at l = 7 or 11 (23 s and 140 s with S = den(c)).
+# Only a den(c) that is not an l-th power keeps S = den(c), and that slow case.
 MAX_RESOLVENT_DEGREE = 61
 
 
@@ -84,17 +87,19 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
                           f"got {ell}")
     roots: set[Element] = set()
     d, den = field.d, c.den
+    scale = _int_nth_root(den, ell)  # B = scale*b has B**ell = scale**ell * c integral
+    scale = scale if scale ** ell == den else den
     for r in rational_nth_root((c * c.conjugate()).x, ell):  # norm(c) = r**ell, r = norm(b)
-        eta = int(r * den * den)  # norm(B) for B = den*b, an algebraic integer
+        eta = int(r * scale * scale)  # norm(B), B an algebraic integer
         poly = _power_sum_poly(ell, eta)
-        poly[0] -= 2 * den ** (ell - 1) * c.u  # trace(B**ell), as B**ell = den**ell * c
+        poly[0] -= 2 * (scale ** ell // den) * c.u  # trace(B**ell)
         for tau in rational_roots_monic(poly):
             vv, rem = divmod(tau * tau - 4 * eta, d)
             s = isqrt(max(vv, 0))
             if rem or s * s != vv:
                 continue
             for v in (s, -s) if s else (0,):
-                cand = _make(field, tau, v, 2 * den)
+                cand = _make(field, tau, v, 2 * scale)
                 if cand ** ell == c:
                     roots.add(cand)
     return roots
@@ -161,7 +166,10 @@ def decompose(a: Element, ell: int) -> Decomposition:
     level: dict[Element, set[Element]] = {xi: {a * xi.conjugate()} for xi in mu}
     winners = level
     depth = 0
-    while True:
+    # Over a quadratic field every unit has norm 1, so each a * conjugate(xi) has
+    # norm N(a), and none has an l-th root unless N(a) is an l-th power in Q.
+    deeper = a.field.is_rational or bool(rational_nth_root((a * a.conjugate()).x, ell))
+    while deeper:
         nxt: dict[Element, set[Element]] = {}
         for xi, elems in level.items():
             grown: set[Element] = set()

@@ -154,7 +154,7 @@ class TestSeries:
 
     def test_unstable_tail_names_n_layer_and_cells(self, monkeypatch):
         mod = importlib.import_module("ordens.density")
-        monkeypatch.setattr(mod, "total_degree", lambda q: q.ell ** (q.m + q.n) * (q.m + 1))
+        monkeypatch.setattr(mod, "kummer_degree", lambda ell, m, n, *_: ell ** (m + n) * (m + 1))
         # the factor m + 1 keeps the cells off the 1/l**2 decay
         with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 "
                                                  r"for 2: tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):

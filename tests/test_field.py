@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from conftest import FIELDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordens
 from ordens import (
     QQ,
     CycloProfile,
@@ -29,6 +34,7 @@ from ordens import (
     decompose,
     empirical_density,
     format_element,
+    lth_roots,
     parse_element,
     parse_field,
     rational_nth_root,
@@ -230,6 +236,19 @@ class TestIntegerRepresentation:
                 assert hash(rec) == hash(again)
             if type(rec) not in (Element, ScanReport):
                 assert hash(rec) == hash(tuple(getattr(rec, n) for n in names))
+
+    def test_hash_is_the_same_in_every_process(self):
+        # over Q, field.d is None, whose hash was an address before Python 3.12
+        code = ("from ordens import QQ, lth_roots, parse_element; "
+                "print(hash(parse_element('1/2', QQ)), "
+                "[str(b) for b in lth_roots(parse_element('16', QQ), 2)])")
+        src = str(Path(ordens.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=60, check=True).stdout for _ in range(2)}
+        here = (f"{hash(parse_element('1/2', QQ))} "
+                f"{[str(b) for b in lth_roots(parse_element('16', QQ), 2)]}\n")
+        assert outs == {here}
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_copy_and_pickle_round_trip(self, field):

@@ -5,6 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import FIELDS
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -13,10 +16,12 @@ from ordens import (
     FieldSpec,
     KummerQuery,
     analyze,
+    is_root_of_unity,
     kummer_relative_degree,
     total_degree,
 )
-from ordens.kummer import MAX_VALUATION_BITS
+from ordens.kummer import MAX_VALUATION_BITS, kummer_degree
+from ordens.roots import unit_orders
 
 GAUSS = FieldSpec(-1)
 RT3 = FieldSpec(3)
@@ -161,3 +166,19 @@ def test_tower_laws(corpus):
                 assert rel <= ell ** j, (a, ell, m, j)
                 checked += 1
     assert checked == 35 * len(corpus)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIELDS), st.sampled_from((2, 3, 5)), st.integers(0, 2), st.data())
+def test_kummer_degree_is_the_validated_total_degree(field, ell, k, data):
+    """The unchecked degree the series sums equals total_degree(KummerQuery) at every
+    valid level m <= 8, on powers b**(l**k) times every root of unity."""
+    x = data.draw(st.fractions(-30, 30, max_denominator=9))
+    y = 0 if field.is_rational else data.draw(st.fractions(-30, 30, max_denominator=9))
+    a = Element(field, x, y) ** (ell ** k) * data.draw(st.sampled_from(list(unit_orders(field))))
+    assume(not a.is_zero and not is_root_of_unity(a))
+    dec, prof, special = analyze(a, ell)
+    for m in range(1, 9):
+        for n in range(m + 1):
+            assert kummer_degree(ell, m, n, dec, prof, special) == \
+                total_degree(KummerQuery(ell, m, n, dec, prof, special)), (a, ell, m, n)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from conftest import FIELDS
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordens import (
@@ -15,6 +17,7 @@ from ordens import (
     Element,
     FieldSpec,
     decompose,
+    density,
     is_root_of_unity,
     lth_roots,
     roots_of_unity,
@@ -114,6 +117,17 @@ class TestLthRoots:
                 lth_roots(unit, ell)
         assert lth_roots(elem(QQ, 3) ** 67, 67) == {elem(QQ, 3)}  # Q has no resolvent
 
+    def test_large_denominator_power_is_fast(self):
+        # b**7 with 500-bit coordinates over 7**178: den(c) = den(b)**7 is a 7th power,
+        # so the resolvent search is scaled by den(b), not by den(c)
+        bits = 4096 // 7 - 8
+        den = 7 ** (bits * 100 // 281)
+        b = Element(GAUSS, Fraction(3 ** (bits * 100 // 159) + 1, den),
+                    Fraction(2 ** bits - 1, den))
+        start = time.perf_counter()
+        assert density(b ** 7, 7).value == Fraction(47, 48)
+        assert time.perf_counter() - start < 2.0
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 13]), st.sampled_from([2, 3, 5, 7, 11, 13]),
@@ -135,6 +149,29 @@ def test_dividing_by_a_root_of_unity_multiplies_by_its_conjugate(field, x, y):
     for xi in unit_orders(field):
         assert xi * xi.conjugate() == Element(field, 1)
         assert a * xi.conjugate() == a / xi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([f for f in FIELDS if not f.is_rational]), st.sampled_from([2, 3, 5, 7]),
+       st.integers(0, 1), st.booleans(), st.data())
+def test_depth_zero_exactly_when_no_unit_twist_has_a_root(field, ell, k, twist, data):
+    """decompose's norm pretest agrees with the full search over every l-power unit.
+
+    Inputs are b**(l**k) * xi, times c/conjugate(c) (norm 1, rarely an l-th power)
+    when twist is set, so the pretest passes on inputs of depth 0 as well.
+    """
+    def draw_element():
+        return Element(field, data.draw(st.fractions(-30, 30, max_denominator=9)),
+                       data.draw(st.fractions(-30, 30, max_denominator=9)))
+
+    a = draw_element() ** (ell ** k) * data.draw(st.sampled_from(list(unit_orders(field))))
+    if twist:
+        c = draw_element()
+        assume(not c.is_zero)
+        a = a * c / c.conjugate()
+    assume(not a.is_zero and not is_root_of_unity(a))
+    no_root = not any(lth_roots(a * xi.conjugate(), ell) for xi in roots_of_unity(field, ell))
+    assert (decompose(a, ell).depth == 0) == no_root
 
 
 class TestStrongIndivisibility:
