@@ -15,8 +15,8 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from .field import DomainError, Element, FieldSpec
-from .roots import lth_roots
+from .field import DomainError, Element, FieldSpec, _new
+from .roots import lth_roots, norm_roots
 
 
 class Tower(str, Enum):
@@ -90,8 +90,10 @@ def special_case_flag(field: FieldSpec, profile: CycloProfile, b: Element) -> bo
     if profile.tower in (Tower.MINUS, Tower.I_ADJOINED):
         return False
     if profile.tower is Tower.PLUS:
-        g = Element(field, 2, 1)  # 2 + sqrt(2)
+        g = _new(field, 2, 1, 1)  # 2 + sqrt(2)
     else:
-        g = Element(field, 2)
+        g = _new(field, 2, 0, 1)
     quot = b / g
+    if not norm_roots(quot, 2):  # N(+/-quot) = N(b)/N(g) is a square if +/-b is g*square
+        return False
     return bool(lth_roots(quot, 2)) or bool(lth_roots(-quot, 2))

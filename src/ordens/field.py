@@ -223,19 +223,18 @@ def rational_nth_root(q: Fraction | int, k: int) -> tuple[Fraction, ...]:
     if k < 1:
         raise DomainError("root index must be positive")
     q = Fraction(q)
-    if q == 0:
-        return (Fraction(0),)
-    if q < 0 and k % 2 == 0:
+    return tuple(Fraction(n, m) for n, m in _nth_roots(q.numerator, q.denominator, k))
+
+
+def _nth_roots(num: int, den: int, k: int) -> tuple[tuple[int, int], ...]:
+    """rational_nth_root of num/den (den > 0, any terms) as lowest-terms (num, den) pairs."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    rn, rd = _int_nth_root(abs(num), k), _int_nth_root(den, k)
+    if num < 0 and k % 2 == 0 or rn ** k != abs(num) or rd ** k != den:
         return ()
-    num, den = abs(q.numerator), q.denominator
-    rn = _int_nth_root(num, k)
-    rd = _int_nth_root(den, k)
-    if rn ** k != num or rd ** k != den:
-        return ()
-    r = Fraction(rn, rd)
-    if k % 2 == 1:
-        return (-r if q < 0 else r,)
-    return (r, -r)
+    rn = -rn if num < 0 else rn
+    return ((rn, rd), (-rn, rd)) if k % 2 == 0 and num else ((rn, rd),)
 
 
 def format_element(e: Element) -> str:
@@ -282,7 +281,9 @@ _TERM_RE = re.compile(rf"""\s*(?: (?P<unit>i|zeta3)
 
 
 def _coordinate_bits(e: Element) -> int:
-    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in (e.x, e.y))
+    # the largest numerator or denominator bit length of x = u/den and y = w/den
+    return max(max((n // g).bit_length(), (e.den // g).bit_length())
+               for n in (e.u, e.w) for g in (gcd(n, e.den),))
 
 
 def _check_bits(bits: int, what: str, least: str = "") -> None:
@@ -291,11 +292,11 @@ def _check_bits(bits: int, what: str, least: str = "") -> None:
                           f"over the limit of {MAX_COORDINATE_BITS}")
 
 
-def _rat(text: str) -> Fraction:
+def _rat(text: str) -> tuple[int, int]:
     num, _, den = "".join(text.split()).partition("/")
     if den and not int(den):
         raise ParseError(f"zero denominator in {text.strip()!r}")
-    return Fraction(int(num), int(den or 1))
+    return int(num), int(den or 1)
 
 
 def _atom(m: re.Match, field: FieldSpec) -> Element:
@@ -307,13 +308,16 @@ def _atom(m: re.Match, field: FieldSpec) -> Element:
         if field.d != -3:
             raise ParseError("'zeta3' is only valid over Q(sqrt -3)")
         return _new(field, -1, 1, 2)
-    x = _rat(m["x"])
+    x, xd = _rat(m["x"])
     if m["d"] is None:
-        return Element(field, x)
+        return _make(field, x, 0, xd)
     d = int("".join(m["d"].split()))
     if d != field.d:
         raise ParseError(f"sqrt({d}) does not live in {field}")
-    return Element(field, x, _rat(m["y"])) if m["y"] else Element(field, 0, x)
+    if not m["y"]:
+        return _make(field, 0, x, xd)
+    y, yd = _rat(m["y"])
+    return _make(field, x * yd, y * xd, xd * yd)
 
 
 def parse_element(text: str, field: FieldSpec) -> Element:

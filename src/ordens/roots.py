@@ -8,6 +8,8 @@ eta**l = norm(C), and its trace tau is an integer root (ratroots) of
 s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2}.
 Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
 candidate B/S is verified by exact exponentiation before being returned.
+Norm tests (the eta loop, decompose's depth-0 path, the halving-flag pretest
+in cyclo) go through norm_roots, which reads N(c) from the ints (u, w, den).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _new,
-                    rational_nth_root, valuation)
+                    _nth_roots, valuation)
 from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
@@ -75,13 +77,18 @@ def _power_sum_poly(ell: int, eta: int) -> list[int]:
     return s1
 
 
+def norm_roots(c: Element, ell: int) -> tuple[tuple[int, int], ...]:
+    """The rational l-th roots of N(c) = (u**2 - d*w**2) / den**2, as (num, den) pairs."""
+    return _nth_roots(c.u * c.u - (c.field.d or 0) * c.w * c.w, c.den * c.den, ell)
+
+
 def lth_roots(c: Element, ell: int) -> set[Element]:
     """All b in the field with b**ell == c, found exactly."""
     if c.is_zero:
         raise DomainError("zero has no multiplicative structure here")
     field = c.field
     if field.is_rational:
-        return {Element(field, r) for r in rational_nth_root(c.x, ell)}
+        return {_new(field, n, 0, m) for n, m in _nth_roots(c.u, c.den, ell)}
     if ell > MAX_RESOLVENT_DEGREE:
         raise DomainError(f"l-th roots over {field} need l <= {MAX_RESOLVENT_DEGREE}, "
                           f"got {ell}")
@@ -89,8 +96,9 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
     d, den = field.d, c.den
     scale = _int_nth_root(den, ell)  # B = scale*b has B**ell = scale**ell * c integral
     scale = scale if scale ** ell == den else den
-    for r in rational_nth_root((c * c.conjugate()).x, ell):  # norm(c) = r**ell, r = norm(b)
-        eta = int(r * scale * scale)  # norm(B), B an algebraic integer
+    for r, rd in norm_roots(c, ell):  # norm(c) = (r/rd)**ell, r/rd = norm(b)
+        # norm(B), exact: rd**ell divides den**2, which divides scale**(2*ell)
+        eta = r * scale * scale // rd
         poly = _power_sum_poly(ell, eta)
         poly[0] -= 2 * (scale ** ell // den) * c.u  # trace(B**ell)
         for tau in rational_roots_monic(poly):
@@ -152,23 +160,28 @@ def decompose(a: Element, ell: int) -> Decomposition:
     ell**depth-th roots of a/xi (breadth-first over lth_roots); every root of
     unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so a/xi is
     a * conjugate(xi).  Feasibility is downward closed, so the first empty
-    level is conclusive.  Among units reaching the maximal depth the one of
-    minimal multiplicative order wins (canonical order breaks ties), which
-    absorbs absorbable units into the base; the base itself is the
-    lexicographically largest root by coordinates, so output is deterministic.
+    level is conclusive.  Over a quadratic field a/xi has norm N(a); when that
+    is not an l-th power in Q (norm_roots) the depth is 0, and only xi = 1 is
+    searched.  Q keeps the full search: -4 = 2**2 * -1 at l = 2.  Among units
+    reaching the maximal depth the one of minimal multiplicative order wins
+    (canonical order breaks ties), which absorbs absorbable units into the
+    base; the base itself is the lexicographically largest root by
+    coordinates, so output is deterministic.
     """
     if a.is_zero:
         raise DomainError("cannot decompose zero")
     if is_root_of_unity(a):
         return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
+    # Over a quadratic field every unit has norm 1, so each a * conjugate(xi) has
+    # norm N(a), and none has an l-th root unless N(a) is an l-th power in Q.
+    deeper = a.field.is_rational or bool(norm_roots(a, ell))
+    if not deeper:
+        mu = mu[:1]  # the unit 1, listed first: at depth 0 it wins by order
     orders = unit_orders(a.field)
     level: dict[Element, set[Element]] = {xi: {a * xi.conjugate()} for xi in mu}
     winners = level
     depth = 0
-    # Over a quadratic field every unit has norm 1, so each a * conjugate(xi) has
-    # norm N(a), and none has an l-th root unless N(a) is an l-th power in Q.
-    deeper = a.field.is_rational or bool(rational_nth_root((a * a.conjugate()).x, ell))
     while deeper:
         nxt: dict[Element, set[Element]] = {}
         for xi, elems in level.items():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ordens import (
     QQ,
@@ -15,6 +17,7 @@ from ordens import (
     Tower,
     cyclo_profile,
     cyclotomic_degree,
+    lth_roots,
     special_case_flag,
 )
 
@@ -122,3 +125,20 @@ class TestSpecialCaseFlag:
                 if c.is_zero:
                     continue
                 assert special_case_flag(field, prof, b * c * c) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, RT2, RT3, FieldSpec(5), FieldSpec(-3), FieldSpec(17)]), st.booleans(),
+       st.sampled_from([1, -1]), st.fractions(-30, 30, max_denominator=9),
+       st.fractions(-30, 30, max_denominator=9))
+def test_norm_pretest_changes_no_flag(field, square, sign, x, y):
+    """special_case_flag returns False early when N(b/g) is not a rational square; its
+    answer must equal that of the two square-root searches it skips."""
+    prof = cyclo_profile(field, 2)
+    g = elem(field, 2, 1) if prof.tower is Tower.PLUS else elem(field, 2)
+    c = elem(field, x, 0 if field.is_rational else y)
+    assume(not c.is_zero)
+    b = elem(field, sign) * g * c * c if square else c
+    want = bool(lth_roots(b / g, 2)) or bool(lth_roots(-(b / g), 2))
+    assert want or not square
+    assert special_case_flag(field, prof, b) == want

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from conftest import FIELDS
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ordens
@@ -39,7 +39,7 @@ from ordens import (
     parse_field,
     rational_nth_root,
 )
-from ordens.field import MAX_D_BITS
+from ordens.field import MAX_COORDINATE_BITS, MAX_D_BITS, _coordinate_bits
 
 GAUSS = FieldSpec(-1)
 RT2 = FieldSpec(2)
@@ -328,6 +328,11 @@ class TestRationalNthRoot:
         assert rational_nth_root(q, 10) == (Fraction(7 ** 3, 5 ** 2), Fraction(-(7 ** 3), 5 ** 2))
 
 
+def fraction_bits(e):
+    """_coordinate_bits read from the Fraction coordinates x and y."""
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in (e.x, e.y))
+
+
 class TestParsing:
     def test_field_texts(self):
         assert parse_field("Q") == QQ
@@ -384,6 +389,17 @@ class TestParsing:
         assert parse_element("2^4095", QQ) == elem(QQ, 2 ** 4095)
         with pytest.raises(DomainError, match="at least 4097 bits"):
             parse_element("2^4096", QQ)
+        # the same bound on a denominator: -2/4 is charged as -1/2, its reduced form
+        e = parse_element("-2/4^4095", QQ)
+        assert e == elem(QQ, Fraction(-1, 2 ** 4095))
+        assert _coordinate_bits(e) == fraction_bits(e) == MAX_COORDINATE_BITS
+        with pytest.raises(DomainError, match="exponent 4096 needs at least 4097 bits"):
+            parse_element("-1/2^4096", QQ)
+        # 1/2 + 1/2*sqrt(5) has 2-bit coordinates, so ^k is charged 2*k bits
+        phi = elem(FieldSpec(5), Fraction(1, 2), Fraction(1, 2))
+        assert parse_element("1/2+1/2*sqrt(5)^2048", FieldSpec(5)) == phi ** 2048
+        with pytest.raises(DomainError, match="exponent 2049 needs 4098 bits"):
+            parse_element("1/2+1/2*sqrt(5)^2049", FieldSpec(5))
         with pytest.raises(DomainError):
             parse_element("2^100000000", QQ)
         with pytest.raises(DomainError):  # each factor fits, the product does not
@@ -497,3 +513,34 @@ class TestGrammarProperties:
             parse_element("".join(toks), field)
         except (ParseError, DomainError):
             pass
+
+
+# (num, den) with a common factor, so many texts are unreduced fractions like '6/4'
+_TEXT_FRACTIONS = st.tuples(st.integers(-60, 60) | st.integers(-2 ** 90, 2 ** 90),
+                            st.integers(1, 60) | st.integers(1, 2 ** 90),
+                            st.integers(1, 12)).map(lambda t: (t[0] * t[2], t[1] * t[2]))
+
+
+class TestIntegerParsing:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(FIELDS), st.sampled_from(["x", "x*sqrt", "x+y*sqrt"]),
+           _TEXT_FRACTIONS, _TEXT_FRACTIONS)
+    @example(RT2, "x+y*sqrt", (6, 4), (0, 4))
+    @example(RT2, "x+y*sqrt", (0, 3), (-6, 4))
+    @example(QQ, "x", (0, 6), (1, 1))
+    def test_parse_matches_fraction_parse(self, field, form, x, y):
+        """parse_element reads (num, den) ints; it must build the element that the
+        Fraction coordinates of the same text give."""
+        fx, fy = Fraction(*x), Fraction(*y)
+        if field.is_rational:
+            form = "x"
+        sqrt = f"*sqrt({field.d})"
+        text, want = {
+            "x": (f"{x[0]}/{x[1]}", (fx, 0)),
+            "x*sqrt": (f"{x[0]}/{x[1]}{sqrt}", (0, fx)),
+            "x+y*sqrt": (f"{x[0]}/{x[1]}{'-' if y[0] < 0 else '+'}{abs(y[0])}/{y[1]}{sqrt}",
+                         (fx, fy)),
+        }[form]
+        e = parse_element(text, field)
+        assert e == Element(field, *want)
+        assert _coordinate_bits(e) == fraction_bits(e)

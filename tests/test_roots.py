@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordens import (
     QQ,
     Case,
+    Decomposition,
     DomainError,
     Element,
     FieldSpec,
@@ -23,6 +24,7 @@ from ordens import (
     roots_of_unity,
     unit_order,
 )
+from ordens.field import valuation
 from ordens.roots import MAX_RESOLVENT_DEGREE, unit_orders
 
 GAUSS = FieldSpec(-1)
@@ -172,6 +174,48 @@ def test_depth_zero_exactly_when_no_unit_twist_has_a_root(field, ell, k, twist, 
     assume(not a.is_zero and not is_root_of_unity(a))
     no_root = not any(lth_roots(a * xi.conjugate(), ell) for xi in roots_of_unity(field, ell))
     assert (decompose(a, ell).depth == 0) == no_root
+
+
+def full_search(a, ell):
+    """decompose's normal form by the breadth-first search over every l-power unit,
+    with no norm pretest: the reference for its depth-0 path."""
+    mu = roots_of_unity(a.field, ell)
+    orders = unit_orders(a.field)
+    level = winners = {xi: {a * xi.conjugate()} for xi in mu}
+    depth = 0
+    while True:
+        nxt = {xi: set().union(*(lth_roots(z, ell) for z in elems)) for xi, elems in level.items()}
+        nxt = {xi: roots for xi, roots in nxt.items() if roots}
+        if not nxt:
+            break
+        level = winners = nxt
+        depth += 1
+    xi = min(winners, key=lambda u: (orders[u], mu.index(u)))
+    case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
+    return Decomposition(ell, case, depth, max(winners[xi], key=lambda e: (e.x, e.y)), xi,
+                         valuation(orders[xi], ell))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([f for f in FIELDS if not f.is_rational]), st.sampled_from([2, 3, 5, 7]),
+       st.sampled_from(["random", "twist", "power"]), st.data())
+def test_depth_zero_path_returns_the_full_search_normal_form(field, ell, kind, data):
+    """decompose equals the reference search on random elements (the norm pretest fails
+    for almost all, so only xi = 1 is searched), on b**l * c/conjugate(c) (norm N(b)**l,
+    so the pretest passes, and the depth is almost always 0), and on b**l * xi (depth >= 1)."""
+    def draw_element():
+        return Element(field, data.draw(st.fractions(-30, 30, max_denominator=9)),
+                       data.draw(st.fractions(-30, 30, max_denominator=9)))
+
+    a = draw_element()
+    if kind == "twist":
+        c = draw_element()
+        assume(not c.is_zero)
+        a = a ** ell * c / c.conjugate()
+    elif kind == "power":
+        a = a ** ell * data.draw(st.sampled_from(list(unit_orders(field))))
+    assume(not a.is_zero and not is_root_of_unity(a))
+    assert decompose(a, ell) == full_search(a, ell)
 
 
 class TestStrongIndivisibility:
