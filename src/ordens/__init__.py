@@ -28,7 +28,6 @@ from .field import (
     format_element,
     parse_element,
     parse_field,
-    rational_nth_root,
 )
 from .kummer import KummerQuery, kummer_relative_degree, total_degree
 from .roots import (
@@ -51,7 +50,7 @@ from .scan import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "FieldSpec", "Element", "rational_nth_root",
+    "QQ", "FieldSpec", "Element",
     "parse_field", "parse_element", "format_element",
     "FieldMismatch", "ParseError", "DomainError",
     "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",

@@ -25,12 +25,12 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from . import tables
 from .cyclo import cyclo_profile
 from .density import InvariantError, analyze, density, density_series
-from .field import DomainError, FieldMismatch, ParseError, parse_element, parse_field
+from .field import (DomainError, FieldMismatch, ParseError, _check_ell, parse_element,
+                    parse_field)
 from .kummer import KummerQuery, kummer_relative_degree, total_degree
 from .roots import Case, decompose
 from .scan import empirical_density
@@ -40,19 +40,6 @@ CSV_HEADER = ["field", "a", "ell", "n", "exact", "empirical", "abs_error"]
 
 def _approx(q: Fraction) -> str:
     return f"{q.numerator / q.denominator:.6f}"
-
-
-# --ell takes primes of at most this many bits, so that trial division in
-# _check_ell stays under a millisecond.
-MAX_ELL_BITS = 20
-
-
-def _check_ell(ell: int) -> None:
-    if ell.bit_length() > MAX_ELL_BITS:
-        raise DomainError(f"--ell must be below 2**{MAX_ELL_BITS}, got a "
-                          f"{ell.bit_length()}-bit number")
-    if ell < 2 or any(ell % f == 0 for f in range(2, isqrt(ell) + 1)):
-        raise DomainError(f"--ell must be prime, got {ell}")
 
 
 @lru_cache(maxsize=1)
@@ -171,16 +158,16 @@ def _cmd_profile(args, a) -> tuple:
 def _cmd_scan(args, a) -> tuple:
     rep = empirical_density(a, args.ell, args.bound)
     lines = [f"counted {rep.counted} slots, excluded primes {list(rep.excluded)}"]
-    rows = []
+    rows, exact = [], {}
     for n in sorted(rep.empirical):
         emp = rep.empirical[n]
         line = f"n={n} count={rep.histogram.get(n, 0)} empirical={emp} ({_approx(emp)})"
         row = {"field": args.field, "a": args.a, "ell": args.ell, "n": n,
                "empirical": str(emp)}
-        if args.compare:
-            exact = rep.exact[n]
-            line += f" exact={exact} ({_approx(exact)})"
-            row.update(exact=str(exact), abs_error=str(abs(emp - exact)))
+        if args.compare:  # the scan only counts: the exact side is computed here
+            ex = exact[n] = density(a, args.ell, n).value
+            line += f" exact={ex} ({_approx(ex)})"
+            row.update(exact=str(ex), abs_error=str(abs(emp - ex)))
         lines.append(line)
         rows.append(row)
     payload = {
@@ -191,9 +178,9 @@ def _cmd_scan(args, a) -> tuple:
         "empirical": {str(n): str(v) for n, v in rep.empirical.items()},
     }
     if args.compare:
-        err = rep.max_abs_error
+        err = max(abs(rep.empirical[n] - v) for n, v in exact.items())
         lines.append(f"max_abs_error {err} ({_approx(err)})")
-        payload.update(exact={str(n): str(v) for n, v in rep.exact.items()},
+        payload.update(exact={str(n): str(v) for n, v in exact.items()},
                        max_abs_error=str(err), max_abs_error_approx=_approx(err))
     return 0, lines, payload, rows
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from .field import DomainError, Element, FieldSpec, _new
+from .field import DomainError, Element, FieldSpec, _check_ell, _new
 from .roots import lth_roots, norm_roots
 
 
@@ -45,6 +45,7 @@ class CycloProfile(namedtuple("CycloProfile",
 
 @lru_cache(maxsize=256)
 def cyclo_profile(field: FieldSpec, ell: int) -> CycloProfile:
+    _check_ell(ell)  # once per cache entry; analyze calls this before decompose
     d = field.d
     if ell != 2:
         has_zeta = ell == 3 and d == -3

@@ -61,8 +61,8 @@ def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
     Cached per (a, l), so the D(a, n) of every n share one halving-flag
     search; the returned objects are immutable.
     """
-    dec = decompose(a, ell)
     prof = cyclo_profile(a.field, ell)
+    dec = decompose(a, ell)
     special = False
     if ell == 2 and not prof.has_zeta4 and dec.case is not Case.ROOT_OF_UNITY:
         special = special_case_flag(a.field, prof, dec.base)

@@ -190,8 +190,24 @@ def _make(field: FieldSpec, u: int, w: int, den: int) -> Element:
     return _new(field, u // g, w // g, den // g)
 
 
+# l must be a prime of at most this many bits, so that trial division in
+# _check_ell stays under a millisecond.  The messages name the CLI's --ell.
+MAX_ELL_BITS = 20
+
+
+def _check_ell(ell: int) -> None:
+    """Refuse a bad l; cyclo_profile and scan._scan_vk run this once per cache entry."""
+    if ell.bit_length() > MAX_ELL_BITS:
+        raise DomainError(f"--ell must be below 2**{MAX_ELL_BITS}, got a "
+                          f"{ell.bit_length()}-bit number")
+    if ell < 2 or any(ell % f == 0 for f in range(2, isqrt(ell) + 1)):
+        raise DomainError(f"--ell must be prime, got {ell}")
+
+
 def valuation(n: int, ell: int) -> int:
     """The exponent of the prime ell in the nonzero integer n."""
+    if ell < 2:
+        raise DomainError(f"need ell >= 2 for a valuation, got {ell}")
     v = 0
     while n % ell == 0:
         n //= ell
@@ -215,19 +231,9 @@ def _int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def rational_nth_root(q: Fraction | int, k: int) -> tuple[Fraction, ...]:
-    """All rational r with r**k == q; empty tuple when none exist.
-
-    Odd k gives at most one root, even k gives the +/- pair.
-    """
-    if k < 1:
-        raise DomainError("root index must be positive")
-    q = Fraction(q)
-    return tuple(Fraction(n, m) for n, m in _nth_roots(q.numerator, q.denominator, k))
-
-
 def _nth_roots(num: int, den: int, k: int) -> tuple[tuple[int, int], ...]:
-    """rational_nth_root of num/den (den > 0, any terms) as lowest-terms (num, den) pairs."""
+    """All rational k-th roots of num/den (den > 0, any terms) as lowest-terms
+    (num, den) pairs: at most one for odd k, the +/- pair for even k."""
     g = gcd(num, den)
     num, den = num // g, den // g
     rn, rd = _int_nth_root(abs(num), k), _int_nth_root(den, k)

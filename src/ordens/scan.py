@@ -19,6 +19,9 @@ divide the order and each slot is (0, 0) with no power.  Otherwise
 x = red**e has order dividing l**v, and list.count after each l-th power
 of x reads the cells k = 0, 1, ... up to v.  Inert slots at odd p live in
 F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
+
+A scan only counts.  It imports nothing from the density code it checks,
+so exact values come from the caller, as in cli's `scan --compare`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from itertools import chain, compress, repeat
 from math import isqrt
 from operator import add, itemgetter, mod, mul
 
-from .density import density
-from .field import DomainError, Element, FieldSpec, valuation
+from .field import DomainError, Element, FieldSpec, _check_ell, valuation
 
 # p: the rational prime under the slot; kind: "split" (degree one) or "inert";
 # norm: p or p**2; sqrt_d: the residue of sqrt(d) mod p for a split slot of a
@@ -41,7 +43,7 @@ from .field import DomainError, Element, FieldSpec, valuation
 PrimeSlot = namedtuple("PrimeSlot", "p kind norm sqrt_d")
 
 
-ScanReport = namedtuple("ScanReport", "bound counted excluded histogram empirical exact max_abs_error")
+ScanReport = namedtuple("ScanReport", "bound counted excluded histogram empirical")
 
 
 # Largest norm bound of a scan.  A scan at this bound over a quadratic field
@@ -239,6 +241,7 @@ def _cut(cols: tuple, excluded: list[int]) -> tuple:
 @lru_cache(maxsize=64)
 def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int, ...]]:
     """(v, k) counts over all good slots, plus counted and excluded primes."""
+    _check_ell(ell)
     excluded, rem = [], _bad_modulus(a, ell)
     for p in sieve_primes(bound):
         if p * p > rem:
@@ -257,7 +260,10 @@ def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int,
 
 
 def empirical_density(a: Element, ell: int, bound: int) -> ScanReport:
-    """Histogram the order valuations of a over all primes of norm <= bound."""
+    """Histogram the order valuations of a over all primes of norm <= bound.
+
+    The report holds counts and frequencies only; exact values are the caller's.
+    """
     if a.is_zero:
         raise DomainError("cannot scan the zero element")
     counts, counted, excluded = _scan_vk(a, ell, bound)
@@ -266,10 +272,7 @@ def empirical_density(a: Element, ell: int, bound: int) -> ScanReport:
         histogram[k] = histogram.get(k, 0) + c
     top = max(histogram)
     empirical = {n: Fraction(histogram.get(n, 0), counted) for n in range(top + 1)}
-    exact = {n: density(a, ell, n).value for n in range(top + 1)}
-    err = max(abs(empirical[n] - exact[n]) for n in range(top + 1))
-    return ScanReport(bound, counted, excluded,
-                      dict(sorted(histogram.items())), empirical, exact, err)
+    return ScanReport(bound, counted, excluded, dict(sorted(histogram.items())), empirical)
 
 
 def split_fraction(a: Element, ell: int, m: int, n: int, bound: int) -> Fraction:

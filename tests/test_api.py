@@ -7,7 +7,7 @@ import ordens
 
 def test_all_is_pinned_and_resolves():
     assert ordens.__all__ == [
-        "QQ", "FieldSpec", "Element", "rational_nth_root",
+        "QQ", "FieldSpec", "Element",
         "parse_field", "parse_element", "format_element",
         "FieldMismatch", "ParseError", "DomainError",
         "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",

@@ -218,6 +218,15 @@ class TestScanCommand:
                          "--bound", "3000", "--compare"])
         assert code == 0 and "max_abs_error" in out
 
+    def test_plain_scan_needs_no_exact_side(self, capsys):
+        # l-th roots over Q(sqrt 2) need l <= 61, so the exact side refuses l = 67
+        argv = ["scan", "--ell", "67", "--field", "Q(sqrt 2)", "--a=1+1*sqrt(2)",
+                "--bound", "1000"]
+        code, out = run(argv)
+        assert code == 0 and out.startswith("counted ")
+        assert run([*argv, "--compare"]) == (3, "")
+        assert "need l <= 61" in capsys.readouterr().err
+
 
 class TestTablesCommand:
     def test_table_four_matches(self):

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import FIELDS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ordens
 from ordens import (
     QQ,
     DensityValue,
@@ -65,6 +70,24 @@ class TestClosedForm:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             density_closed(elem(QQ, 0), 2)
+
+    def test_bad_ell_rejected_in_bounded_time(self):
+        # l = 1 never returned (valuation(n, 1) loops), and l = 4 gave a meaningless 11/15
+        code = ("import time\n"
+                "from ordens import DomainError, QQ, decompose, density, parse_element\n"
+                "from ordens.scan import split_fraction\n"
+                "a = parse_element('2', QQ)\n"
+                "for call in (lambda: density(a, 1), lambda: decompose(a, 1),\n"
+                "             lambda: split_fraction(a, 1, 1, 1, 100), lambda: density(a, 4)):\n"
+                "    start = time.perf_counter()\n"
+                "    try:\n"
+                "        call()\n"
+                "    except DomainError:\n"
+                "        print(time.perf_counter() - start < 2)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ordens.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        assert out.split() == ["True"] * 4
 
     def test_branch_recorded(self):
         dv = density_closed(elem(QQ, 2), 2)

@@ -37,7 +37,6 @@ from ordens import (
     lth_roots,
     parse_element,
     parse_field,
-    rational_nth_root,
 )
 from ordens.field import MAX_COORDINATE_BITS, MAX_D_BITS, _coordinate_bits
 
@@ -174,7 +173,7 @@ def _records():
          ("value", "method", "branch", "params")),
         (ShapeReport("pure", Fraction(1, 3), "side=direct"), ("kind", "value", "detail")),
         (empirical_density(elem(QQ, 2), 2, 100),
-         ("bound", "counted", "excluded", "histogram", "empirical", "exact", "max_abs_error")),
+         ("bound", "counted", "excluded", "histogram", "empirical")),
     ]
 
 
@@ -223,6 +222,9 @@ class TestIntegerRepresentation:
         every record but Element hashes as the tuple of its fields.
         """
         for (rec, names), (again, _) in zip(_records(), _records()):
+            # the names are the record's own: a stale one passes the setattr checks below
+            assert getattr(rec, "_fields", names) == names
+            assert all(hasattr(rec, n) for n in names)
             for name in (*names, "other"):
                 with pytest.raises(AttributeError):
                     setattr(rec, name, 1)
@@ -309,23 +311,26 @@ class TestPow:
 
 
 class TestRationalNthRoot:
+    """Rational k-th roots, found by lth_roots over Q."""
+
+    @staticmethod
+    def roots(q, k):
+        return {b.x for b in lth_roots(Element(QQ, Fraction(q)), k)}
+
     def test_examples(self):
-        assert rational_nth_root(8, 3) == (Fraction(2),)
-        assert set(rational_nth_root(Fraction(9, 4), 2)) == {Fraction(3, 2), Fraction(-3, 2)}
-        assert rational_nth_root(2, 2) == ()
+        assert self.roots(8, 3) == {2}
+        assert self.roots(Fraction(9, 4), 2) == {Fraction(3, 2), Fraction(-3, 2)}
+        assert self.roots(2, 2) == set()
 
     def test_odd_root_sign(self):
-        assert rational_nth_root(-27, 3) == (Fraction(-3),)
+        assert self.roots(-27, 3) == {-3}
 
     def test_negative_even_root(self):
-        assert rational_nth_root(-4, 2) == ()
-
-    def test_zero(self):
-        assert rational_nth_root(0, 5) == (Fraction(0),)
+        assert self.roots(-4, 2) == set()
 
     def test_huge_exact(self):
         q = Fraction(7 ** 30, 5 ** 20)
-        assert rational_nth_root(q, 10) == (Fraction(7 ** 3, 5 ** 2), Fraction(-(7 ** 3), 5 ** 2))
+        assert self.roots(q, 10) == {Fraction(7 ** 3, 5 ** 2), Fraction(-(7 ** 3), 5 ** 2)}
 
 
 def fraction_bits(e):

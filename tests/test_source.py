@@ -46,3 +46,11 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_scan_imports_only_field():
+    # the prime scan checks the density code, so it must not share any of it
+    tree = ast.parse((ROOT / "src" / "ordens" / "scan.py").read_text())
+    ours = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ordens"))}
+    assert ours == {".field"}
