@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "ell" in args:
-            _check_ell(args.ell)
+            _check_ell(args.ell, "--ell")
         a = parse_element(args.a, parse_field(args.field)) if "a" in args else None
         code, *answer = args.run(args, a)
     except ParseError as exc:

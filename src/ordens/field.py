@@ -191,17 +191,17 @@ def _make(field: FieldSpec, u: int, w: int, den: int) -> Element:
 
 
 # l must be a prime of at most this many bits, so that trial division in
-# _check_ell stays under a millisecond.  The messages name the CLI's --ell.
+# _check_ell stays under a millisecond.
 MAX_ELL_BITS = 20
 
 
-def _check_ell(ell: int) -> None:
-    """Refuse a bad l; cyclo_profile and scan._scan_vk run this once per cache entry."""
+def _check_ell(ell: int, name: str = "l") -> None:
+    """Refuse a bad l, called name; cyclo_profile and scan._scan_vk run this per cache entry."""
     if ell.bit_length() > MAX_ELL_BITS:
-        raise DomainError(f"--ell must be below 2**{MAX_ELL_BITS}, got a "
+        raise DomainError(f"{name} must be below 2**{MAX_ELL_BITS}, got a "
                           f"{ell.bit_length()}-bit number")
     if ell < 2 or any(ell % f == 0 for f in range(2, isqrt(ell) + 1)):
-        raise DomainError(f"--ell must be prime, got {ell}")
+        raise DomainError(f"{name} must be prime, got {ell}")
 
 
 def valuation(n: int, ell: int) -> int:

@@ -2,23 +2,24 @@
 
 Primes are enumerated as slots: one slot per degree-one prime (split
 rational primes contribute two, one per square root of d mod p) and one
-per inert prime entering at norm p**2.  Slots are held as columns: the
-split primes ps (a split p twice), their roots ss of d mod p (min r, then
-max r; None over Q, where ps is the sieve itself) and the inert primes.
-Whether p splits is the Kronecker character (disc/p), a function of p mod
-|disc|, so Euler's test runs once per residue class.  A root takes one pow
-for p = 3 mod 4, Atkin's formula for p = 5 mod 8, Tonelli-Shanks otherwise.
+per inert prime entering at norm p**2.  Slots are held as 4-byte columns,
+one entry per prime: the split primes ps, the smaller root r of d mod p in
+ss (None over Q, where ps is the sieve itself) and the inert primes; a at
+the slot p - r is conj(a) at r.  Whether p splits is the Kronecker
+character (disc/p), a function of p mod |disc|, so Euler's test runs once
+per residue class.  A root takes one pow for p = 3 mod 4, Atkin's formula
+for p = 5 mod 8, Tonelli-Shanks otherwise.
 
 A scan condenses each slot into (v, k) = (l-valuation of q - 1, l-valuation
 of the reduced element's order), from which both the valuation histogram
-and complete-splitting fractions are read off.  Split slots are grouped by
+and complete-splitting fractions are read off.  Split primes are grouped by
 v once per field, bound and l, with e = (p - 1)/l**v beside each p, and
 excluded primes are cut out of each group by bisect.  Over a group, C-level
-maps reduce a = (u + w*sqrt(d))/den to red mod p.  When v = 0, l does not
-divide the order and each slot is (0, 0) with no power.  Otherwise
-x = red**e has order dividing l**v, and list.count after each l-th power
-of x reads the cells k = 0, 1, ... up to v.  Inert slots at odd p live in
-F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
+maps reduce a = (u + w*sqrt(d))/den, then conj(a), to red mod p at r.  When
+v = 0, l does not divide the order and each slot is (0, 0) with no power.
+Otherwise x = red**e has order dividing l**v, and list.count after each
+l-th power of x reads the cells k = 0, 1, ... up to v.  Inert slots at odd
+p live in F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
 
 A scan only counts.  It imports nothing from the density code it checks,
 so exact values come from the caller, as in cli's `scan --compare`.
@@ -31,7 +32,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from math import isqrt
 from operator import add, itemgetter, mod, mul
 
@@ -46,11 +47,16 @@ PrimeSlot = namedtuple("PrimeSlot", "p kind norm sqrt_d")
 ScanReport = namedtuple("ScanReport", "bound counted excluded histogram empirical")
 
 
-# Largest norm bound of a scan.  A scan at this bound over a quadratic field
-# peaks at 62-80 MB (Python 3.11, peak RSS of the whole CLI run): the sieve's
-# bytes while it runs, and its 664,579 primes and the slot columns as arrays
-# of machine words.
+# Largest norm bound of a scan, below 2**31 so that columns fit array("i").
+# A scan at this bound peaks at 37-45 MB over Q, Q(i) and Q(sqrt 17) (Python
+# 3.11, peak RSS of the whole CLI run): the sieve's bytes while it runs, its
+# 664,579 primes, the slot columns and the kernel's lists.
 MAX_BOUND = 10 ** 7
+
+# (q, the squares mod q) for the odd primes q that Tonelli-Shanks tries as
+# its non-residue z; below 10**7 one p = 1 mod 8 needs a larger z.
+_SQUARES = tuple((q, frozenset(x * x % q for x in range(q)))
+                 for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 
 @lru_cache(maxsize=8)
@@ -58,13 +64,13 @@ def sieve_primes(bound: int) -> array:
     if bound > MAX_BOUND:
         raise DomainError(f"norm bound {bound} is over the limit of {MAX_BOUND}")
     if bound < 2:
-        return array("l")
+        return array("i")
     flags = bytearray([1]) * (bound + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return array("l", compress(range(bound + 1), flags))
+    return array("i", compress(range(bound + 1), flags))
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -78,10 +84,12 @@ def _sqrt_mod(n: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 3  # 2 is a square mod every p = 1 mod 8, the only p that reach here
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    # z, the least non-residue, is an odd prime as p = 1 mod 8; (z/p) = (p/z)
+    z = next((z for z, squares in _SQUARES if p % z not in squares), None)
+    if z is None:  # all of 2 .. the last tabled prime are squares
+        z = next(z for z in count(_SQUARES[-1][0] + 1) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, r = s, pow(z, q, p), pow(n, (q + 1) // 2, p)
+    t = r * r * pow(n, -1, p) % p  # n**q
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:
@@ -97,12 +105,12 @@ def _sqrt_mod(n: int, p: int) -> int:
 
 @lru_cache(maxsize=64)
 def _field_slots(field: FieldSpec, bound: int) -> tuple:
-    """Slot columns (ps, ss, inert ps) of the primes of norm <= bound."""
+    """Columns (ps, ss, inert ps) of the primes of norm <= bound, one entry per p."""
     primes = sieve_primes(bound)
     if field.is_rational:
         return primes, None, ()
     d, disc = field.d, field.discriminant
-    ps, ss, inert = array("l"), array("l"), []
+    ps, ss, inert = array("i"), array("i"), []
     splits: dict[int, bool] = {}  # p mod |disc| -> p splits
     size = abs(disc)
     for p in primes:
@@ -112,8 +120,8 @@ def _field_slots(field: FieldSpec, bound: int) -> tuple:
                 pow(d % p, (p - 1) // 2, p) == 1 if p > 2 else d % 8 == 1)
         if split:
             r = _sqrt_mod(d % p, p) if p > 2 else 1
-            ps.extend((p, p))
-            ss.extend((r, p - r) if r < p - r else (p - r, r))
+            ps.append(p)
+            ss.append(min(r, p - r))
         elif p * p <= bound and disc % p:
             inert.append(p)
     return ps, ss, tuple(inert)
@@ -124,7 +132,8 @@ def enumerate_slots(field: FieldSpec, norm_bound: int) -> tuple[PrimeSlot, ...]:
     if norm_bound < 2:
         raise DomainError("norm bound must be at least 2")
     ps, ss, inert = _field_slots(field, norm_bound)
-    split = map(PrimeSlot, ps, repeat("split"), ps, repeat(None) if ss is None else ss)
+    split = (map(PrimeSlot, ps, repeat("split"), ps, repeat(None)) if ss is None else
+             (PrimeSlot(p, "split", p, s) for p, r in zip(ps, ss) for s in (r, p - r)))
     inert_slots = (PrimeSlot(p, "inert", p * p, None) for p in inert)
     return tuple(sorted(chain(split, inert_slots), key=itemgetter(0)))
 
@@ -164,19 +173,16 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
 
 
 def _v_groups(ps, ss, ell: int) -> dict[int, tuple]:
-    """Split slot columns grouped by v = v_l(p - 1): {v: (ps, ss, es)}, e = (p - 1)/l**v."""
+    """Split columns by v = v_l(p - 1), per entry: {v: (ps, ss, es)}, e = (p - 1)/l**v."""
     groups: dict[int, tuple] = {}
-    last = 0
     for i, p in enumerate(ps):
-        if p != last:
-            last = p
-            e, v = p - 1, 0
-            while e % ell == 0:
-                e //= ell
-                v += 1
-            cols = groups.get(v)
-            if cols is None:
-                cols = groups[v] = (array("l"), None if ss is None else array("l"), array("l"))
+        e, v = p - 1, 0
+        while e % ell == 0:
+            e //= ell
+            v += 1
+        cols = groups.get(v)
+        if cols is None:
+            cols = groups[v] = (array("i"), None if ss is None else array("i"), array("i"))
         cols[0].append(p)
         cols[2].append(e)
         if ss is not None:
@@ -229,12 +235,11 @@ def _bad_modulus(a: Element, ell: int) -> int:
 
 
 def _cut(cols: tuple, excluded: list[int]) -> tuple:
-    """The group's columns without the slots of the excluded primes."""
-    for p in excluded:  # each p's slots are one run of the sorted ps
+    """The group's columns without the entries of the excluded primes."""
+    for p in excluded:  # p is at most one entry of the sorted ps
         i = bisect_left(cols[0], p)
-        j = bisect_left(cols[0], p + 1, i)
-        if i < j:
-            cols = tuple(None if col is None else col[:i] + col[j:] for col in cols)
+        if i < len(cols[0]) and cols[0][i] == p:
+            cols = tuple(None if col is None else col[:i] + col[i + 1:] for col in cols)
     return cols
 
 
@@ -253,10 +258,14 @@ def _scan_vk(a: Element, ell: int, bound: int) -> tuple[Counter, int, tuple[int,
         excluded.append(rem)
     groups = {v: _cut(cols, excluded) for v, cols in _split_groups(a.field, bound, ell).items()}
     inert = [p for p in _field_slots(a.field, bound)[2] if p not in excluded]
-    counted = sum(len(ps) for ps, _, _ in groups.values()) + len(inert)
+    split = sum(len(ps) for ps, _, _ in groups.values())
+    counted = (split if a.field.is_rational else 2 * split) + len(inert)
     if not counted:
         raise DomainError(f"no prime of norm <= {bound} is counted for {a}")
-    return _vk_counts(a, ell, groups, inert), counted, tuple(excluded)
+    counts = _vk_counts(a, ell, groups, inert)
+    if not a.field.is_rational:  # a at the slot p - r is conj(a) at r
+        counts += _vk_counts(a.conjugate(), ell, groups, [])
+    return counts, counted, tuple(excluded)
 
 
 def empirical_density(a: Element, ell: int, bound: int) -> ScanReport:

@@ -27,12 +27,16 @@ from ordens import (
     split_fraction,
     total_degree,
 )
+from ordens import scan
 from ordens.field import valuation
 from ordens.scan import (
     MAX_BOUND,
     PrimeSlot,
     _bad_modulus,
+    _field_slots,
     _scan_vk,
+    _split_groups,
+    _sqrt_mod,
     _v_groups,
     _vk_counts,
     sieve_primes,
@@ -296,6 +300,73 @@ class TestEnumerateReference:
 
     def test_sieve_matches_trial_division(self):
         assert [s.p for s in euler_brute_slots(QQ, 3 * 10 ** 4)] == list(sieve_primes(3 * 10 ** 4))
+
+
+class TestHalfColumns:
+    """One 4-byte entry per split prime; the slot at p - r is read through conj(a)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scan_inputs())
+    def test_conjugate_scan_matches_both_slot_oracle(self, inputs):
+        a, ell, bound = inputs
+        try:
+            counts, counted, excluded = _scan_vk(a, ell, bound)
+        except DomainError as exc:
+            assert str(exc).startswith("no prime of norm")
+            return
+        assert _scan_vk(a.conjugate(), ell, bound) == (counts, counted, excluded)
+        slots = [s for s in euler_brute_slots(a.field, bound) if s.p not in excluded]
+        assert counts == Counter(brute_vk(a, s, ell) for s in slots)
+        assert counted == len(slots)
+
+    @pytest.mark.parametrize("field", [f for f in FIELDS if not f.is_rational], ids=str)
+    def test_one_four_byte_entry_per_split_prime(self, field):
+        ps, ss, _ = _field_slots(field, 10 ** 4)
+        split = [s.p for s in enumerate_slots(field, 10 ** 4) if s.kind == "split"]
+        assert list(ps) == split[::2] == split[1::2]
+        assert all(r * r % p == field.d % p and r <= p - r for p, r in zip(ps, ss))
+        groups = _split_groups(field, 10 ** 4, 2)
+        assert sum(len(cols[0]) for cols in groups.values()) == len(ps)
+        cols = [sieve_primes(10 ** 4), ps, ss, *(c for g in groups.values() for c in g)]
+        assert {col.itemsize for col in cols} == {4}
+
+
+def tonelli_reference(n, p):
+    """Tonelli-Shanks with the non-residue z found by Euler's test from 3 up."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 3
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, m = t * c % p, i
+    return r
+
+
+def assert_tonelli_matches_reference(bound):
+    for p in sieve_primes(bound):
+        if p % 8 == 1:
+            for d in (-1, 2, -2, 3, -7, 17):
+                if pow(d % p, (p - 1) // 2, p) == 1:
+                    assert _sqrt_mod(d % p, p) == tonelli_reference(d % p, p), (d, p)
+
+
+class TestSqrtMod:
+    def test_tonelli_matches_the_euler_search(self):
+        assert_tonelli_matches_reference(2 * 10 ** 5)
+
+    def test_fallback_past_the_table(self, monkeypatch):
+        monkeypatch.setattr(scan, "_SQUARES", scan._SQUARES[:1])
+        assert_tonelli_matches_reference(2 * 10 ** 4)
 
 
 class TestOrderValuation:
