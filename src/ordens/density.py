@@ -49,7 +49,7 @@ class DensityValue(namedtuple("DensityValue", "value method branch params")):
 
     def __new__(cls, value: Fraction, method: str, branch: str,
                 params: tuple = ()) -> DensityValue:
-        if not 0 <= value <= 1:
+        if not 0 <= value.numerator <= value.denominator:
             raise InvariantError(f"density {value} outside [0, 1]")
         return super().__new__(cls, value, method, branch, params)
 
@@ -214,18 +214,20 @@ def shape_check(a: Element, ell: int) -> ShapeReport:
     """
     if a.is_zero or is_root_of_unity(a):
         raise DomainError("shape checks expect a non-torsion element")
-    dec, prof, _ = analyze(a, ell)
-    got = density_closed(a, ell).value
+    dec, prof, special = analyze(a, ell)
+    got = _closed(dec, prof, special).value
+    p, q = got.numerator, got.denominator
     if ell != 2 and not prof.has_zeta_ell and prof.stall == 1:
-        expect = 1 - Fraction(1, prof.degree) * Fraction(ell) ** (1 - dec.depth) / (ell + 1)
-        if got != expect:
-            raise ShapeViolation(f"{a}: expected {expect}, computed {got}")
+        # got == 1 - num/den, cross-multiplied
+        num = ell ** max(1 - dec.depth, 0)
+        den = prof.degree * (ell + 1) * ell ** max(dec.depth - 1, 0)
+        if p * den != (den - num) * q:
+            raise ShapeViolation(f"{a}: expected {Fraction(den - num, den)}, computed {got}")
         return ShapeReport("cyclotomic-scaled", got, f"d={dec.depth}")
     if (ell != 2 and prof.has_zeta_ell) or (ell == 2 and prof.has_zeta4):
-        for v in (got, 1 - got):
-            q = v.denominator // (ell + 1)
-            if v != 0 and v.numerator == 1 and v.denominator % (ell + 1) == 0 \
-                    and q == ell ** valuation(q, ell):
-                return ShapeReport("pure", got, f"1/(l^n(l+1)) side={'direct' if v == got else 'complement'}")
+        # got and 1 - got = (q - p)/q share the lowest-terms denominator q
+        k = q // (ell + 1)
+        if q % (ell + 1) == 0 and k == ell ** valuation(k, ell) and 1 in (p, q - p):
+            return ShapeReport("pure", got, f"1/(l^n(l+1)) side={'direct' if p == 1 else 'complement'}")
         raise ShapeViolation(f"{a}: {got} is not 1/(l^n(l+1)) or its complement")
     return ShapeReport(None, got, "no mandated shape for this field")

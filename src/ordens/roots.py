@@ -2,8 +2,10 @@
 
 The l-th root solver works through a norm/trace resolvent over Z.  A root b
 of x**l = c = (u + w*sqrt(d)) / den gives B = S*b, an algebraic integer with
-B**l = C = (S**l / den) * (u + w*sqrt(d)), where the scale S is den**(1/l)
-when that is an integer and den otherwise.  Its norm eta is an integer with
+B**l = C = (S**l / den) * (u + w*sqrt(d)).  The scale S is the least integer
+with den | S**l: a prime q prime to 2d is unramified and Z[sqrt d] is maximal
+at q, so v_q(den) = l*v_q(den(b)), and a den whose part prime to 2d is not an
+l-th power rules out every root.  Its norm eta is an integer with
 eta**l = norm(C), and its trace tau is an integer root (ratroots) of
 s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2}.
 Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _new,
                     _nth_roots, valuation)
@@ -31,7 +33,6 @@ _MAX_DEPTH = 64
 # a range that scales with S.  When den(c) is an l-th power, S is its l-th
 # root: b**l with 4096 // l - 8 bit coordinates over a 7-power den takes
 # 'ordens density' about 0.2 s at l = 7 or 11 (23 s and 140 s with S = den(c)).
-# Only a den(c) that is not an l-th power keeps S = den(c), and that slow case.
 MAX_RESOLVENT_DEGREE = 61
 
 
@@ -94,8 +95,23 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
                           f"got {ell}")
     roots: set[Element] = set()
     d, den = field.d, c.den
-    scale = _int_nth_root(den, ell)  # B = scale*b has B**ell = scale**ell * c integral
-    scale = scale if scale ** ell == den else den
+    # B = scale*b is integral for the least scale with den | scale**l: the l-th root of
+    # den when that is an integer, else q**ceil(v_q(den)/l) at the primes q of 2d (their
+    # product is lcm(2, d), d squarefree) times the l-th root of the rest of den.  Blocks
+    # g**(k*l) come off whole with k doubling, so v_q takes O(log(v_q)**2) steps.
+    scale = _int_nth_root(den, ell)
+    if scale ** ell != den:
+        scale, rest, primes = 1, den, lcm(2, d)
+        while (g := gcd(rest, primes)) > 1:
+            k = 1
+            while rest % g ** (2 * k * ell) == 0:
+                k *= 2
+            scale *= g ** k
+            rest //= gcd(rest, g ** (k * ell))
+        root = _int_nth_root(rest, ell)
+        if root ** ell != rest:
+            return roots
+        scale *= root
     for r, rd in norm_roots(c, ell):  # norm(c) = (r/rd)**ell, r/rd = norm(b)
         # norm(B), exact: rd**ell divides den**2, which divides scale**(2*ell)
         eta = r * scale * scale // rd
@@ -160,26 +176,29 @@ def decompose(a: Element, ell: int) -> Decomposition:
     ell**depth-th roots of a/xi (breadth-first over lth_roots); every root of
     unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so a/xi is
     a * conjugate(xi).  Feasibility is downward closed, so the first empty
-    level is conclusive.  Over a quadratic field a/xi has norm N(a); when that
-    is not an l-th power in Q (norm_roots) the depth is 0, and only xi = 1 is
-    searched.  Q keeps the full search: -4 = 2**2 * -1 at l = 2.  Among units
-    reaching the maximal depth the one of minimal multiplicative order wins
-    (canonical order breaks ties), which absorbs absorbable units into the
-    base; the base itself is the lexicographically largest root by
-    coordinates, so output is deterministic.
+    level is conclusive.  Each a/xi has norm N(a); when that is not an l-th
+    power in Q (norm_roots) the depth is 0, and only xi = 1 is searched.  Over
+    Q this cuts no deeper search: N(a) = a**2 is a square, and at odd l (where
+    mu_l(Q) = {1}) an l-th power only when a is.  Among units reaching the
+    maximal depth the one of minimal multiplicative order wins (canonical
+    order breaks ties), which absorbs absorbable units into the base; the
+    base itself is the largest root by (x, y), compared as integers over one
+    denominator, so output is deterministic.
     """
     if a.is_zero:
         raise DomainError("cannot decompose zero")
     if is_root_of_unity(a):
         return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
-    # Over a quadratic field every unit has norm 1, so each a * conjugate(xi) has
-    # norm N(a), and none has an l-th root unless N(a) is an l-th power in Q.
-    deeper = a.field.is_rational or bool(norm_roots(a, ell))
+    # Every unit has norm 1, so each a * conjugate(xi) has norm N(a), and none
+    # has an l-th root unless N(a) is an l-th power in Q.
+    deeper = bool(norm_roots(a, ell))
     if not deeper:
         mu = mu[:1]  # the unit 1, listed first: at depth 0 it wins by order
     orders = unit_orders(a.field)
-    level: dict[Element, set[Element]] = {xi: {a * xi.conjugate()} for xi in mu}
+    # mu[0] is the unit 1 (roots_of_unity lists it first), whose twist is a itself
+    level: dict[Element, set[Element]] = {xi: {a * xi.conjugate() if k else a}
+                                          for k, xi in enumerate(mu)}
     winners = level
     depth = 0
     while deeper:
@@ -197,7 +216,12 @@ def decompose(a: Element, ell: int) -> Decomposition:
             raise InvariantError(f"power depth exceeded {_MAX_DEPTH}; input {a}")
         level = winners = nxt
     xi = min(winners, key=lambda u: (orders[u], mu.index(u)))
-    base = max(winners[xi], key=lambda e: (e.x, e.y))
+    cands = winners[xi]
+    if len(cands) == 1:
+        (base,) = cands
+    else:  # (x, y) over the common denominator m
+        m = lcm(*(e.den for e in cands))
+        base = max(cands, key=lambda e: (e.u * (m // e.den), e.w * (m // e.den)))
     case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
     dec = Decomposition(ell, case, depth, base, xi, valuation(orders[xi], ell))
     if dec.recompose() != a:

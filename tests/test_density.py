@@ -30,7 +30,7 @@ from ordens import (
     parse_field,
     shape_check,
 )
-from ordens.density import MAX_VALUATION_BITS
+from ordens.density import MAX_VALUATION_BITS, ShapeViolation
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -236,6 +236,34 @@ class TestShapes:
         assert rep.kind == "pure"
         assert rep.value == F("1/3")
 
+    @pytest.mark.parametrize("ell,d", [(3, 3), (3, -7), (3, 5), (5, 5), (5, -7), (5, 17),
+                                       (7, -7), (7, 3), (7, -1), (7, None)])
+    @pytest.mark.parametrize("depth", range(4))
+    def test_scaled_form_matches_the_fraction_formula(self, ell, d, depth):
+        # Q(sqrt l*) (degree (l-1)/2: Q(sqrt 5) at l = 5, Q(sqrt -7) at l = 7) and generic fields
+        field = FieldSpec(d)
+        a = elem(field, 2) ** (ell ** depth)
+        dec, prof, _ = ordens.analyze(a, ell)
+        assert dec.depth == depth
+        assert prof.degree == ((ell - 1) // 2 if (ell, d) in ((5, 5), (7, -7)) else ell - 1)
+        rep = shape_check(a, ell)
+        expect = 1 - Fraction(1, prof.degree) * Fraction(ell) ** (1 - depth) / (ell + 1)
+        assert (rep.kind, rep.value, rep.detail) == ("cyclotomic-scaled", expect, f"d={depth}")
+
+    @pytest.mark.parametrize("ftext,atext,ell,message", [
+        ("Q(sqrt 3)", "2", 3, "2: expected 5/8, computed 1/2"),
+        ("Q(sqrt 5)", "2^25", 5, "33554432: expected 59/60, computed 1/2"),
+        ("Q(sqrt -3)", "8", 3, "8: 1/2 is not 1/(l^n(l+1)) or its complement"),
+        ("Q(sqrt -1)", "2*i", 2, "2*sqrt(-1): 1/2 is not 1/(l^n(l+1)) or its complement"),
+    ])
+    def test_wrong_closed_value_violates_the_shape(self, monkeypatch, ftext, atext, ell, message):
+        a = parse_element(atext, parse_field(ftext))
+        monkeypatch.setattr(importlib.import_module("ordens.density"), "_closed",
+                            lambda *args: DensityValue(Fraction(1, 2), "closed_form", "wrong"))
+        with pytest.raises(ShapeViolation) as info:
+            shape_check(a, ell)
+        assert str(info.value) == message
+
     def test_no_shape_mandated_without_i(self):
         assert shape_check(elem(QQ, 2), 2).kind is None
 
@@ -250,7 +278,11 @@ class TestRange:
             v = density_closed(a, ell).value
             assert 0 <= v <= 1
 
-    @pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 5)])
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(7, 24)])
+    def test_unit_interval_bounds_accepted(self, value):
+        assert DensityValue(value, "closed_form", "torsion").value == value
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 5), Fraction(2)])
     def test_value_outside_unit_interval_rejected(self, value):
         with pytest.raises(InvariantError, match=r"outside \[0, 1\]"):
             DensityValue(value, "closed_form", "torsion")

@@ -21,6 +21,7 @@ from ordens import (
     density,
     is_root_of_unity,
     lth_roots,
+    parse_element,
     roots_of_unity,
     unit_order,
 )
@@ -129,6 +130,32 @@ class TestLthRoots:
         start = time.perf_counter()
         assert density(b ** 7, 7).value == Fraction(47, 48)
         assert time.perf_counter() - start < 2.0
+
+    def test_large_denominator_not_an_lth_power_is_fast(self):
+        # 1+i divides b's numerator, so den(b**7) = 2**(7*C - 3) is no 7th power; the
+        # search is scaled by 2**ceil(v_2/7), not by den(c) (8 s with that scale)
+        bits = 4096 // 7 - 8
+        b = Element(GAUSS, Fraction(3 ** (bits * 100 // 159), 2 ** (bits * 100 // 160)),
+                    Fraction(2 ** bits - 1, 2 ** (bits * 100 // 160)))
+        c = b ** 7
+        assert c.den & (c.den - 1) == 0 and (c.den.bit_length() - 1) % 7  # 2**v, 7 does not divide v
+        start = time.perf_counter()
+        assert lth_roots(c, 7) == {b}
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("v,ell,roots", [(4094, 2, 2), (4095, 2, 0), (4092, 3, 1), (4093, 3, 0)])
+    def test_large_power_of_two_denominator(self, v, ell, roots):
+        # 2 ramifies in Q(i): v_2(den(c)) need not be a multiple of l, and the scale
+        # takes 2**ceil(v/l) in log(v)-many blocks
+        c = elem(GAUSS, Fraction(1, 2 ** v))
+        got = lth_roots(c, ell)
+        assert len(got) == roots and all(b ** ell == c for b in got)
+
+    def test_denominator_prime_to_2d_not_an_lth_power(self):
+        # (2+i)/(2-i) = (3+4i)/5 has norm 1, but v_5(den) = 1 is no multiple of 3
+        c = elem(GAUSS, Fraction(3, 5), Fraction(4, 5))
+        assert lth_roots(c, 3) == set()
+        assert lth_roots(c ** 3, 3) == {c}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -258,6 +285,21 @@ class TestDecompose:
         dec = decompose(elem(GAUSS, -9), 2)
         assert (dec.case, dec.depth, dec.unit_level) == (Case.POWER, 1, 0)
         assert dec.base == elem(GAUSS, 0, 3)
+
+    # Units of one order tie only over Q(i) at l = 2 (a/i and a/-i differ by the
+    # square -1): canonical order picks i.  Over Q(sqrt -3) at l = 3 one unit
+    # reaches depth 1, and the base is the largest of the three cube roots.
+    @pytest.mark.parametrize("field,text,ell,base,unit", [
+        (GAUSS, "9*i", 2, "3", "i"),
+        (GAUSS, "-9*i", 2, "3*i", "i"),
+        (EISEN, "8*zeta3", 3, "2", "zeta3"),
+        (EISEN, "8*zeta3^2", 3, "2", "zeta3^2"),
+    ])
+    def test_tie_cases_are_canonical(self, field, text, ell, base, unit):
+        dec = decompose(parse_element(text, field), ell)
+        assert (dec.case, dec.depth) == (Case.POWER_TIMES_UNIT, 1)
+        assert dec.base == parse_element(base, field)
+        assert dec.unit == parse_element(unit, field)
 
     def test_root_of_unity_short_circuits(self):
         dec = decompose(elem(GAUSS, 0, -1), 2)
