@@ -14,9 +14,12 @@ kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
     P(m, 0) = 1/T(m, m) - 1/T(m+1, m)
     P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
 
-and D(a, n) = sum_{m>=n} P(m, n).  The cells are summed as integers over the
-lcm of the degrees, and the geometric tail is closed exactly once
-consecutive cells lock onto the 1/l**2 decay.  The two paths share no
+and D(a, n) = sum_{m>=n} P(m, n).  series_cells gives the cells as integers
+over the lcm of the degrees, and density_series closes the geometric tail
+exactly once consecutive cells lock onto the 1/l**2 decay.  The degrees read
+a only through its shape (the normal form less base and unit, the profile
+and the halving flag), so the cells are computed once per shape and n per
+process and are exact for every a of that shape.  The two paths share no
 formula code, which makes their agreement a meaningful cross-check.
 """
 
@@ -157,17 +160,48 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
                         (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
 
 
+@lru_cache(maxsize=4096)
+def series_cells(shape: Decomposition, prof: CycloProfile, special: bool,
+                 n: int) -> tuple[tuple[int, ...], int]:
+    """Numerators of the cells P(m, n), m = n..M, and their common denominator.
+
+    shape is a non-torsion normal form with base and unit cleared
+    (dec._replace(base=None, unit=None)): kummer_degree reads only its
+    depth, unit level and case, so one cache entry serves every element of
+    that shape.  Cell m is P(m, n) = f(m, m - n) - f(m, m - n + 1) (the
+    second term only for n >= 1), where f(m, j) = 1/T(m, j) - 1/T(m + 1, j)
+    and T(0, 0) = 1.  M = n + d + r + t + s + 4 lies past every breakpoint
+    of the degree formulas.  The top degree T(M + 1, M - n + 1) is held to
+    the KummerQuery bit budget, so an n past the series' reach raises a
+    DomainError that names n.
+    """
+    ell = shape.ell
+    top = n + shape.depth + shape.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
+    j = top - n + (n > 0)  # the top degree is T(top + 1, j)
+    if (top + 1 + j) * ell.bit_length() > MAX_VALUATION_BITS:
+        raise DomainError(f"valuation {n} too large for the series at l = {ell}: its top degree "
+                          f"T(m={top + 1}, j={j}) needs (m + j) * {ell.bit_length()} "
+                          f"<= {MAX_VALUATION_BITS}")
+    # per cell: T(m, j), T(m + 1, j) for j = m - n, then for j = m - n + 1 when n >= 1
+    shifts = (0, 1) if n else (0,)
+    degrees = [kummer_degree(ell, lev, m - n + i, shape, prof, special) if lev else 1
+               for m in range(n, top + 1) for i in shifts for lev in (m, m + 1)]
+    den = lcm(*degrees)
+    nums = [den // t for t in degrees]
+    cells = list(map(sub, nums[::2], nums[1::2]))  # f(m, j) numerators
+    if n:
+        cells = list(map(sub, cells[::2], cells[1::2]))
+    return tuple(cells), den
+
+
 def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     """D(a, n) summed over v = v_l(Np - 1) from Kummer degrees, with an exact tail.
 
-    Cell m is P(m, n) = f(m, m - n) - f(m, m - n + 1) (the second term only
-    for n >= 1), where f(m, j) = 1/T(m, j) - 1/T(m + 1, j) and T(0, 0) = 1.
-    Cells m = n..M with M = n + d + r + t + s + 4, past every breakpoint of
-    the degree formulas, are summed as integers over the lcm of the degrees;
-    the last three must then decay by exactly 1/l**2 per step (anything else
-    is a formula bug and raises), and the tail is cell_M / (l**2 - 1).  The
-    top degree T(M + 1, M - n + 1) is held to the KummerQuery bit budget, so
-    an n past the series' reach raises a DomainError that names n.
+    The cells come from series_cells, computed once per shape of a (see
+    there) per process; that is exact because the series reads a only
+    through its shape.  The last three cells must decay by exactly 1/l**2
+    per step (anything else is a formula bug and raises), and the tail
+    past the top cell is cell_M / (l**2 - 1).
     """
     if a.is_zero:
         raise DomainError("density of zero is undefined")
@@ -176,25 +210,11 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     if n < 0:
         raise DomainError("valuation must be nonnegative")
     dec, prof, special = analyze(a, ell)
-    top = n + dec.depth + dec.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
-    j = top - n + (n > 0)  # the top degree is T(top + 1, j)
-    if (top + 1 + j) * ell.bit_length() > MAX_VALUATION_BITS:
-        raise DomainError(f"valuation {n} too large for the series at l = {ell}: its top degree "
-                          f"T(m={top + 1}, j={j}) needs (m + j) * {ell.bit_length()} "
-                          f"<= {MAX_VALUATION_BITS}")
-    # per cell: T(m, j), T(m + 1, j) for j = m - n, then for j = m - n + 1 when n >= 1
-    shifts = (0, 1) if n else (0,)
-    degrees = [kummer_degree(ell, lev, m - n + i, dec, prof, special) if lev else 1
-               for m in range(n, top + 1) for i in shifts for lev in (m, m + 1)]
-    den = lcm(*degrees)
-    nums = [den // t for t in degrees]
-    cells = list(map(sub, nums[::2], nums[1::2]))  # f(m, j) numerators
-    if n:
-        cells = list(map(sub, cells[::2], cells[1::2]))
+    cells, den = series_cells(dec._replace(base=None, unit=None), prof, special, n)
     ell2 = ell * ell
     if cells[-2] != cells[-1] * ell2 or cells[-3] != cells[-2] * ell2:
         raise InvariantError(
-            f"series for n = {n} did not stabilize by layer {top} for {a}: tail "
+            f"series for n = {n} did not stabilize by layer {n + len(cells) - 1} for {a}: tail "
             f"{', '.join(str(Fraction(c, den)) for c in cells[-3:])}")
     return DensityValue(Fraction(sum(cells) * (ell2 - 1) + cells[-1], den * (ell2 - 1)),
                         "series", "layer-sum", (("layers", len(cells)),))

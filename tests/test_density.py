@@ -30,7 +30,7 @@ from ordens import (
     parse_field,
     shape_check,
 )
-from ordens.density import MAX_VALUATION_BITS, ShapeViolation
+from ordens.density import MAX_VALUATION_BITS, ShapeViolation, series_cells
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -179,9 +179,13 @@ class TestSeries:
         mod = importlib.import_module("ordens.density")
         monkeypatch.setattr(mod, "kummer_degree", lambda ell, m, n, *_: ell ** (m + n) * (m + 1))
         # the factor m + 1 keeps the cells off the 1/l**2 decay
-        with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 "
-                                                 r"for 2: tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):
-            density_series(elem(QQ, 2), 2, 1)
+        mod.series_cells.cache_clear()  # other tests may have cached this shape already
+        try:
+            with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 for 2: "
+                                                     r"tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):
+                density_series(elem(QQ, 2), 2, 1)
+        finally:
+            mod.series_cells.cache_clear()  # drop the cells built from the fake degrees
 
 
 @st.composite
@@ -220,6 +224,51 @@ class TestSeriesProperties:
         assume(k % ell)
         for n in range(4):
             assert density_series(a ** k, ell, n).value == density_series(a, ell, n).value, n
+
+
+def cells_args(a, ell, n):
+    """series_cells' arguments for density_series(a, ell, n): its cache key."""
+    dec, prof, special = ordens.analyze(a, ell)
+    return dec._replace(base=None, unit=None), prof, special, n
+
+
+class TestSeriesCells:
+    def test_one_shape_is_computed_once(self):
+        three, five = elem(QQ, 3), elem(QQ, 5)
+        assert cells_args(three, 2, 0) == cells_args(five, 2, 0)
+        series_cells.cache_clear()
+        density_series(three, 2)
+        assert series_cells.cache_info()[:2] == (0, 1)  # (hits, misses)
+        density_series(five, 2)
+        density_series(three, 2)
+        assert series_cells.cache_info()[:2] == (2, 1)
+
+    @pytest.mark.parametrize("first,second,changed,values", [
+        (("Q", "2", 2, 0), ("Q", "3", 2, 0), ["special"], ["7/24", "1/3"]),
+        (("Q(sqrt 2)", "3", 2, 2), ("Q(sqrt 5)", "3", 2, 2), ["profile"], ["1/12", "1/6"]),
+        (("Q(sqrt -3)", "8", 3, 0), ("Q(sqrt -3)", "8*zeta3", 3, 0), ["case", "unit_level"],
+         ["3/4", "1/12"]),
+        (("Q(sqrt -3)", "2*zeta3", 3, 0), ("Q(sqrt -3)", "8", 3, 0), ["depth"], ["1/4", "3/4"]),
+        (("Q", "2", 2, 0), ("Q", "2", 2, 2), ["n"], ["7/24", "1/3"]),
+    ])
+    def test_each_key_field_separates_values(self, first, second, changed, values):
+        # the first input fills the cache, so a key too coarse to tell the two
+        # apart would hand the second input the first one's cells
+        series_cells.cache_clear()
+        inputs = [(parse_element(t, parse_field(f)), ell, n) for f, t, ell, n in (first, second)]
+        names = [*ordens.Decomposition._fields, "profile", "special", "n"]
+        keys = [(*shape, *rest) for shape, *rest in (cells_args(*it) for it in inputs)]
+        assert [name for name, x, y in zip(names, *keys) if x != y] == changed
+        assert [density_series(*it).value for it in inputs] == [F(v) for v in values]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(series_inputs(), st.integers(0, 3))
+    def test_cells_are_nonnegative_and_sum_to_the_density(self, item, n):
+        a, ell = item
+        cells, den = series_cells(*cells_args(a, ell, n))
+        assert min(cells) >= 0
+        tail = Fraction(cells[-1], den * (ell * ell - 1))
+        assert Fraction(sum(cells), den) + tail == density(a, ell, n).value
 
 
 class TestShapes:
