@@ -2,7 +2,10 @@
 
 Every density here is a function of the normal form a = b**(l**d) * xi
 (depth d, unit level r, halving flag of b) and the tower profile alone.
-density_closed evaluates the closed forms on that data; density reduces a
+density_closed evaluates the closed forms on that data.  They read a only
+through its shape (the normal form less base and unit, the profile and the
+halving flag), so, like the series cells below, each is computed once per
+shape per process and is exact for every a of that shape.  density reduces a
 prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
 a**(l**k) is a's own shifted by k (Decomposition.raised), so no power of a
@@ -16,11 +19,10 @@ kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
 
 and D(a, n) = sum_{m>=n} P(m, n).  series_cells gives the cells as integers
 over the lcm of the degrees, and density_series closes the geometric tail
-exactly once consecutive cells lock onto the 1/l**2 decay.  The degrees read
-a only through its shape (the normal form less base and unit, the profile
-and the halving flag), so the cells are computed once per shape and n per
-process and are exact for every a of that shape.  The two paths share no
-formula code, which makes their agreement a meaningful cross-check.
+exactly once consecutive cells lock onto the 1/l**2 decay.  The degrees, too,
+read a only through its shape, so the cells are computed once per shape and
+n per process.  The two paths share no formula code, which makes their
+agreement a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -90,15 +92,33 @@ def density_closed(a: Element, ell: int) -> DensityValue:
 
 def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityValue:
     """The closed form of D(a) from a's normal form, profile and halving flag."""
-    ell = dec.ell
     if dec.case is Case.ROOT_OF_UNITY:
         order = unit_order(dec.unit)
-        value = Fraction(1) if order % ell else Fraction(0)
+        value = Fraction(1) if order % dec.ell else Fraction(0)
         return DensityValue(value, "closed_form", "torsion", (("order", order),))
-    d, r, t = dec.depth, dec.unit_level, prof.stall
+    try:
+        return _shape_closed(dec._replace(base=None, unit=None), prof, special)
+    except InvariantError as e:
+        if len(e.args) != 2:  # DensityValue's range check
+            raise
+        # the negated-power check failed; the shape holds no base, so the text is worded here
+        raise InvariantError(f"negated-power forms disagree for -b**(2**{dec.depth}) with "
+                             f"b = {dec.base}: {e.args[0]} vs {e.args[1]}") from None
+
+
+@lru_cache(maxsize=4096)
+def _shape_closed(shape: Decomposition, prof: CycloProfile, special: bool) -> DensityValue:
+    """The closed form of D(a) for a non-torsion shape, keyed as series_cells is.
+
+    The branches read only its depth, unit level and case, the profile and the
+    halving flag.  If the two negated-power forms disagree it raises
+    InvariantError(value, check), for _closed to word with the base.
+    """
+    ell = shape.ell
+    d, r, t = shape.depth, shape.unit_level, prof.stall
 
     if ell != 2 or prof.has_zeta4:
-        if dec.case is Case.POWER_TIMES_UNIT:
+        if shape.case is Case.POWER_TIMES_UNIT:
             e = t - d - 2 * r + 1  # l/(l+1) * l**(t-d-2r)
             value = Fraction(ell ** max(e, 0), (ell + 1) * ell ** max(-e, 0))
             return DensityValue(value, "closed_form", "zeta-present/power-unit",
@@ -120,7 +140,7 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
     s, h = prof.zeta4_stall, int(special)  # eps = 2**-h
     params = (("d", d), ("s", s), ("eps", Fraction(1, 2 ** h)))
     num, den = _zeta4_free_power(d, s, h)
-    if dec.case is Case.POWER:
+    if shape.case is Case.POWER:
         return DensityValue(Fraction(num, den), "closed_form", "zeta4-absent/power", params)
     # a = -b**(2**d), d > 0: derive from minus = num/den, the density of -a, and
     # check the equivalent closed form, so both printed shapes guard each other.
@@ -135,9 +155,7 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityVal
         value = (num - den) * q + den, den * q  # minus - 1 + eps/4 * 2**(s-d)
         check = 1, 12 << (d - s + h)  # eps/12 * 2**(s-d)
     if value[0] * check[1] != check[0] * value[1]:
-        raise InvariantError(
-            f"negated-power forms disagree for -b**(2**{d}) with b = {dec.base}: "
-            f"{Fraction(*value)} vs {Fraction(*check)}")
+        raise InvariantError(Fraction(*value), Fraction(*check))
     return DensityValue(Fraction(*value), "closed_form", "zeta4-absent/negative", params)
 
 

@@ -84,7 +84,8 @@ class Element:
     That triple is canonical, so equality and hashing compare ints; every
     operation is integer arithmetic and one gcd.  x and y are Fractions.
     A plain class with __slots__: it keeps no per-instance dict, and unlike
-    a namedtuple it never equals a tuple.  Only _new sets the slots.
+    a namedtuple it never equals a tuple.  It refuses setattr: _new fills
+    the slots of an _Unfrozen twin, then makes that an Element.
     """
 
     __slots__ = ("field", "u", "w", "den")
@@ -155,6 +156,8 @@ class Element:
                      (self.w * o.u - self.u * o.w) * o.den, self.den * n)
 
     def __pow__(self, k: int) -> Element:
+        if k == 1:
+            return self
         if k < 0:
             return (_new(self.field, 1, 0, 1) / self) ** -k
         acc = _new(self.field, 1, 0, 1)
@@ -174,13 +177,24 @@ class Element:
         return format_element(self)
 
 
+class _Unfrozen:
+    """Element's slot layout without its setattr guard; only _new makes one."""
+
+    __slots__ = Element.__slots__
+
+
 def _new(field: FieldSpec, u: int, w: int, den: int) -> Element:
-    """The element (u + w*sqrt(d)) / den of a triple already in lowest terms."""
-    e = object.__new__(Element)
-    object.__setattr__(e, "field", field)
-    object.__setattr__(e, "u", u)
-    object.__setattr__(e, "w", w)
-    object.__setattr__(e, "den", den)
+    """The element (u + w*sqrt(d)) / den of a triple already in lowest terms.
+
+    Plain stores into an _Unfrozen, whose slot layout lets it become an
+    Element, take half the time of one object.__setattr__ per slot.
+    """
+    e = object.__new__(_Unfrozen)
+    e.field = field
+    e.u = u
+    e.w = w
+    e.den = den
+    e.__class__ = Element
     return e
 
 

@@ -30,7 +30,7 @@ from ordens import (
     parse_field,
     shape_check,
 )
-from ordens.density import MAX_VALUATION_BITS, ShapeViolation, series_cells
+from ordens.density import MAX_VALUATION_BITS, ShapeViolation, _shape_closed, series_cells
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -88,6 +88,25 @@ class TestClosedForm:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=60, check=True).stdout
         assert out.split() == ["True"] * 4
+
+    @pytest.mark.parametrize("atext,message", [
+        ("-4", "negated-power forms disagree for -b**(2**1) with b = 2: 1/12 vs 1/3"),
+        ("-16", "negated-power forms disagree for -b**(2**2) with b = 2: -13/24 vs 1/24"),
+        ("-9/4", "negated-power forms disagree for -b**(2**1) with b = 3/2: -1/6 vs 1/6"),
+    ])
+    def test_negated_power_disagreement_names_the_base(self, monkeypatch, atext, message):
+        # the closed forms are cached per shape, which holds no base: the text still names it
+        a = parse_element(atext, QQ)
+        mod = importlib.import_module("ordens.density")
+        _shape_closed.cache_clear()  # a cached value for this shape would hide the fault
+        monkeypatch.setattr(mod, "_zeta4_free_power", lambda d, s, h: (1, 3))
+        try:
+            with pytest.raises(InvariantError) as info:
+                density(a, 2)
+            assert str(info.value) == message
+            assert _shape_closed.cache_info().currsize == 0  # a failing shape is not cached
+        finally:
+            _shape_closed.cache_clear()  # drop anything built from the fake value
 
     def test_branch_recorded(self):
         dv = density_closed(elem(QQ, 2), 2)
@@ -232,6 +251,23 @@ def cells_args(a, ell, n):
     return dec._replace(base=None, unit=None), prof, special, n
 
 
+# Pairs of (field, a, l, n) inputs whose cache keys differ only in the named
+# fields, with their densities: a key too coarse to tell the two apart hands
+# the second input the first one's value.
+KEY_FIELD_CASES = [
+    (("Q", "2", 2, 0), ("Q", "3", 2, 0), ["special"], ["7/24", "1/3"]),
+    (("Q(sqrt 2)", "3", 2, 2), ("Q(sqrt 5)", "3", 2, 2), ["profile"], ["1/12", "1/6"]),
+    (("Q(sqrt -3)", "8", 3, 0), ("Q(sqrt -3)", "8*zeta3", 3, 0), ["case", "unit_level"],
+     ["3/4", "1/12"]),
+    (("Q(sqrt -3)", "2*zeta3", 3, 0), ("Q(sqrt -3)", "8", 3, 0), ["depth"], ["1/4", "3/4"]),
+    (("Q", "2", 2, 0), ("Q", "2", 2, 2), ["n"], ["7/24", "1/3"]),
+]
+
+
+def parse_inputs(*rows):
+    return [(parse_element(t, parse_field(f)), ell, n) for f, t, ell, n in rows]
+
+
 class TestSeriesCells:
     def test_one_shape_is_computed_once(self):
         three, five = elem(QQ, 3), elem(QQ, 5)
@@ -243,19 +279,12 @@ class TestSeriesCells:
         density_series(three, 2)
         assert series_cells.cache_info()[:2] == (2, 1)
 
-    @pytest.mark.parametrize("first,second,changed,values", [
-        (("Q", "2", 2, 0), ("Q", "3", 2, 0), ["special"], ["7/24", "1/3"]),
-        (("Q(sqrt 2)", "3", 2, 2), ("Q(sqrt 5)", "3", 2, 2), ["profile"], ["1/12", "1/6"]),
-        (("Q(sqrt -3)", "8", 3, 0), ("Q(sqrt -3)", "8*zeta3", 3, 0), ["case", "unit_level"],
-         ["3/4", "1/12"]),
-        (("Q(sqrt -3)", "2*zeta3", 3, 0), ("Q(sqrt -3)", "8", 3, 0), ["depth"], ["1/4", "3/4"]),
-        (("Q", "2", 2, 0), ("Q", "2", 2, 2), ["n"], ["7/24", "1/3"]),
-    ])
+    @pytest.mark.parametrize("first,second,changed,values", KEY_FIELD_CASES)
     def test_each_key_field_separates_values(self, first, second, changed, values):
         # the first input fills the cache, so a key too coarse to tell the two
         # apart would hand the second input the first one's cells
         series_cells.cache_clear()
-        inputs = [(parse_element(t, parse_field(f)), ell, n) for f, t, ell, n in (first, second)]
+        inputs = parse_inputs(first, second)
         names = [*ordens.Decomposition._fields, "profile", "special", "n"]
         keys = [(*shape, *rest) for shape, *rest in (cells_args(*it) for it in inputs)]
         assert [name for name, x, y in zip(names, *keys) if x != y] == changed
@@ -269,6 +298,31 @@ class TestSeriesCells:
         assert min(cells) >= 0
         tail = Fraction(cells[-1], den * (ell * ell - 1))
         assert Fraction(sum(cells), den) + tail == density(a, ell, n).value
+
+
+class TestClosedShapes:
+    def test_one_shape_is_computed_once(self):
+        three, five = elem(QQ, 3), elem(QQ, 5)
+        _shape_closed.cache_clear()
+        density(three, 2)
+        assert _shape_closed.cache_info()[:2] == (0, 1)  # (hits, misses)
+        density(five, 2)
+        density_closed(three, 2)
+        assert _shape_closed.cache_info()[:2] == (2, 1)
+
+    def test_shape_check_reuses_the_closed_form(self):
+        a = elem(RT3, 2)
+        _shape_closed.cache_clear()
+        value = density(a, 3).value
+        assert _shape_closed.cache_info()[:2] == (0, 1)
+        assert shape_check(a, 3).value == value
+        assert _shape_closed.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("first,second,changed,values", KEY_FIELD_CASES)
+    def test_each_key_field_separates_values(self, first, second, changed, values):
+        # density(a, l, n >= 1) looks up the shapes of a**(l**n) and a**(l**(n-1))
+        _shape_closed.cache_clear()
+        assert [density(*it).value for it in parse_inputs(first, second)] == [F(v) for v in values]
 
 
 class TestShapes:

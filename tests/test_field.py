@@ -38,7 +38,7 @@ from ordens import (
     parse_element,
     parse_field,
 )
-from ordens.field import MAX_COORDINATE_BITS, MAX_D_BITS, _coordinate_bits
+from ordens.field import MAX_COORDINATE_BITS, MAX_D_BITS, _coordinate_bits, _Unfrozen
 
 GAUSS = FieldSpec(-1)
 RT2 = FieldSpec(2)
@@ -258,6 +258,38 @@ class TestIntegerRepresentation:
         for back in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert back == e and hash(back) == hash(e)
             assert (back.u, back.w, back.den) == (e.u, e.w, e.den)
+
+
+class TestConstruction:
+    """Every way to get an Element yields a frozen Element, never its twin class."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_path_yields_a_frozen_element(self, field):
+        a = elem(field, Fraction(-7, 6), 0 if field.is_rational else Fraction(5, 4))
+        b = elem(field, 3, 0 if field.is_rational else -1)
+        results = {
+            "Element": a, "parse_element": parse_element(format_element(a), field),
+            "*": a * b, "/": a / b, "neg": -a, "conjugate": a.conjugate(),
+            "copy": copy.copy(a), "deepcopy": copy.deepcopy(a),
+            "pickle": pickle.loads(pickle.dumps(a)),
+            **{f"**{k}": a ** k for k in (-2, 0, 1, 2)},
+        }
+        for path, x in results.items():
+            assert type(x) is Element, path
+            assert hash(x) == hash((field.d or 0, x.u, x.w, x.den)), path
+            for name in ("field", "u", "w", "den", "other"):
+                with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$"):
+                    setattr(x, name, 1)
+                with pytest.raises(AttributeError, match=rf"^cannot delete field '{name}'$"):
+                    delattr(x, name)
+        assert a ** 1 is a
+
+    def test_twin_class_stays_private(self):
+        assert _Unfrozen.__slots__ == Element.__slots__
+        modules = (ordens, ordens.field)
+        assert all(getattr(m, name) is not _Unfrozen
+                   for m in modules for name in dir(m) if not name.startswith("_"))
+        assert all(getattr(ordens, name) is not _Unfrozen for name in ordens.__all__)
 
 
 class TestConjugateNormTrace:
