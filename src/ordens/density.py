@@ -8,11 +8,11 @@ halving flag), so, like the series cells below, each is computed once per
 shape per process and is exact for every a of that shape.  density reduces a
 prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
-a**(l**k) is a's own shifted by k (Decomposition.raised), so no power of a
-is built.  density_series re-derives D(a, n) independently from the
-paper's joint law for (v, k), v = v_l(Np - 1) and k the l-valuation of the
-order of a mod p: with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from
-kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
+a**(l**k) is a's own shifted by k (Decomposition.raised, or .shape past
+torsion), so no power of a is built.  density_series re-derives D(a, n)
+independently from the paper's joint law for (v, k), v = v_l(Np - 1) and k
+the l-valuation of the order of a mod p: with T(m, j) = [K(zeta_{l^m},
+a**(1/l**j)) : K] from kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
 
     P(m, 0) = 1/T(m, m) - 1/T(m+1, m)
     P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
@@ -90,19 +90,20 @@ def density_closed(a: Element, ell: int) -> DensityValue:
     return _closed(*analyze(a, ell))
 
 
-def _closed(dec: Decomposition, prof: CycloProfile, special: bool) -> DensityValue:
-    """The closed form of D(a) from a's normal form, profile and halving flag."""
+def _closed(dec: Decomposition, prof: CycloProfile, special: bool, k: int = 0) -> DensityValue:
+    """The closed form of D(a**(l**k)) from a's normal form, profile and halving flag."""
     if dec.case is Case.ROOT_OF_UNITY:
-        order = unit_order(dec.unit)
+        order = unit_order(dec.raised(k).unit)
         value = Fraction(1) if order % dec.ell else Fraction(0)
         return DensityValue(value, "closed_form", "torsion", (("order", order),))
+    shape = dec.shape(k)
     try:
-        return _shape_closed(dec._replace(base=None, unit=None), prof, special)
+        return _shape_closed(shape, prof, special)
     except InvariantError as e:
         if len(e.args) != 2:  # DensityValue's range check
             raise
         # the negated-power check failed; the shape holds no base, so the text is worded here
-        raise InvariantError(f"negated-power forms disagree for -b**(2**{dec.depth}) with "
+        raise InvariantError(f"negated-power forms disagree for -b**(2**{shape.depth}) with "
                              f"b = {dec.base}: {e.args[0]} vs {e.args[1]}") from None
 
 
@@ -172,8 +173,8 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
     if n == 0:
         return density_closed(a, ell)
     dec, prof, special = analyze(a, ell)
-    hi = _closed(dec.raised(n), prof, special)
-    lo = _closed(dec.raised(n - 1), prof, special)
+    hi = _closed(dec, prof, special, n)
+    lo = _closed(dec, prof, special, n - 1)
     return DensityValue(hi.value - lo.value, "closed_form", "valuation-difference",
                         (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
 
@@ -184,7 +185,7 @@ def series_cells(shape: Decomposition, prof: CycloProfile, special: bool,
     """Numerators of the cells P(m, n), m = n..M, and their common denominator.
 
     shape is a non-torsion normal form with base and unit cleared
-    (dec._replace(base=None, unit=None)): kummer_degree reads only its
+    (Decomposition.shape): kummer_degree reads only its
     depth, unit level and case, so one cache entry serves every element of
     that shape.  Cell m is P(m, n) = f(m, m - n) - f(m, m - n + 1) (the
     second term only for n >= 1), where f(m, j) = 1/T(m, j) - 1/T(m + 1, j)
@@ -228,7 +229,7 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     if n < 0:
         raise DomainError("valuation must be nonnegative")
     dec, prof, special = analyze(a, ell)
-    cells, den = series_cells(dec._replace(base=None, unit=None), prof, special, n)
+    cells, den = series_cells(dec.shape(), prof, special, n)
     ell2 = ell * ell
     if cells[-2] != cells[-1] * ell2 or cells[-3] != cells[-2] * ell2:
         raise InvariantError(

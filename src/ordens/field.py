@@ -3,7 +3,7 @@
 Elements x + y*sqrt(d), d squarefree, are held as integer triples (u, w, den)
 with x = u/den, y = w/den, den > 0 and gcd(u, w, den) = 1; Q is the case w = 0.
 Arithmetic is exact and multiplicative (products, quotients, powers, negation,
-conjugation); the one float in the package is cli._approx's 6-digit display.
+conjugation); floats serve only cli._approx's display and _int_nth_root's guess.
 """
 
 from __future__ import annotations
@@ -230,14 +230,16 @@ def valuation(n: int, ell: int) -> int:
 
 
 def _int_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 2:
-        return n
-    if k == 1:
+    """Floor of the k-th root of n >= 0, by Newton's iteration from at least the floor."""
+    if n < 2 or k == 1:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)
+    if (b := n.bit_length()) <= 40 * k and b <= 1000:  # a root below 2**40, as a float
+        x = int(n ** (1 / k)) + 1  # off by far less than one, so at least the floor
+    else:  # one past the root of the leading half of the bits, shifted back: two steps remain
+        t = max(1, b // (2 * k))
+        x = (_int_nth_root(n >> (k * t), k) + 1) << t
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

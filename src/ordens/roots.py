@@ -6,8 +6,9 @@ B**l = C = (S**l / den) * (u + w*sqrt(d)).  The scale S is the least integer
 with den | S**l: a prime q prime to 2d is unramified and Z[sqrt d] is maximal
 at q, so v_q(den) = l*v_q(den(b)), and a den whose part prime to 2d is not an
 l-th power rules out every root.  Its norm eta is an integer with
-eta**l = norm(C), and its trace tau is an integer root (ratroots) of
-s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2}.
+eta**l = norm(C), and its trace tau is an integer root of
+s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2},
+found by Hensel lifting (ratroots).
 Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
 candidate B/S is verified by exact exponentiation before being returned.
 Norm tests (the eta loop, decompose's depth-0 path, the halving-flag pretest
@@ -28,11 +29,12 @@ from .ratroots import rational_roots_monic
 _MAX_DEPTH = 64
 
 # Largest l for which lth_roots works over a quadratic field.  The resolvent
-# has degree l; for integral c at MAX_COORDINATE_BITS, one with no root takes
-# about 2.3 s to search at l = 61.  Its bisection costs a poly_eval per bit of
-# a range that scales with S.  When den(c) is an l-th power, S is its l-th
-# root: b**l with 4096 // l - 8 bit coordinates over a 7-power den takes
-# 'ordens density' about 0.2 s at l = 7 or 11 (23 s and 140 s with S = den(c)).
+# has degree l, and ratroots lifts its integer roots from a small prime, so the
+# cost grows with l and with the roots' bit length, not with the range they
+# lie in.  At l = 61, a c with 3,500-bit coordinates whose norm is a 61st
+# power and that has no root takes about 1 ms; b**l with 4096 // l - 8 bit
+# coordinates over a 7-power den takes 'ordens density' about 2 ms at l = 7
+# or 11, with S the l-th root of den(c).
 MAX_RESOLVENT_DEGREE = 61
 
 
@@ -158,10 +160,14 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
             raise DomainError(f"raised needs k >= 0, got {k}")
         if self.case is Case.ROOT_OF_UNITY:
             return self._replace(unit=self.unit ** pow(self.ell, k, unit_order(self.unit)))
+        return self.shape(k)._replace(
+            base=self.base, unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
+
+    def shape(self, k: int = 0) -> Decomposition:
+        """raised(k) less base and unit, non-torsion: all the closed forms and series read."""
         level = max(0, self.unit_level - k)
-        return self._replace(case=Case.POWER if level == 0 else self.case,
-                             depth=self.depth + k, unit_level=level,
-                             unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
+        return Decomposition(self.ell, Case.POWER if level == 0 else self.case, self.depth + k,
+                             None, None, level)
 
     def recompose(self) -> Element:
         if self.case is Case.ROOT_OF_UNITY:

@@ -38,7 +38,13 @@ from ordens import (
     parse_element,
     parse_field,
 )
-from ordens.field import MAX_COORDINATE_BITS, MAX_D_BITS, _coordinate_bits, _Unfrozen
+from ordens.field import (
+    MAX_COORDINATE_BITS,
+    MAX_D_BITS,
+    _coordinate_bits,
+    _int_nth_root,
+    _Unfrozen,
+)
 
 GAUSS = FieldSpec(-1)
 RT2 = FieldSpec(2)
@@ -363,6 +369,19 @@ class TestRationalNthRoot:
     def test_huge_exact(self):
         q = Fraction(7 ** 30, 5 ** 20)
         assert self.roots(q, 10) == {Fraction(7 ** 3, 5 ** 2), Fraction(-(7 ** 3), 5 ** 2)}
+
+    def test_integer_root_is_the_exact_floor(self):
+        # r**k <= n < (r + 1)**k for small n, random sizes, and perfect powers and their neighbours
+        cases = [(n, k) for n in range(300) for k in range(1, 10)]
+        rng = random.Random(4595)
+        for _ in range(1500):
+            k = rng.choice((2, 3, 4, 5, 7, 11, 61, 127))
+            x = rng.getrandbits(rng.randint(1, 4096 // k)) + 1
+            cases += [(rng.getrandbits(rng.randint(1, 4200)), k)]
+            cases += [(x ** k + e, k) for e in (-1, 0, 1)]
+        for n, k in cases:
+            r = _int_nth_root(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
 
 
 def fraction_bits(e):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordens.ratroots import poly_eval, rational_roots_monic
+from ordens.roots import _power_sum_poly
 
 
 def roots(poly):
@@ -91,3 +92,33 @@ def test_product_roots_found_exactly(picked, repeats, tail):
     got = rational_roots_monic(g)
     assert got == sorted(set(rs) | _brute_force_roots(factor))
     assert all(type(u) is int for u in got)
+
+
+def _divisor_roots(g):
+    """Integer roots by the rational root theorem: 0, or a divisor of the lowest nonzero term."""
+    low = next(c for c in g if c)
+    cands = {0} | {s * e for e in range(1, abs(low) + 1) if low % e == 0 for s in (1, -1)}
+    return sorted(u for u in cands if poly_eval(g, u) == 0)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_resolvent_family_exhaustive(ell):
+    """D_l(tau, eta) - t, the resolvent lth_roots solves, over all small eta and t."""
+    for eta in range(-12, 13):
+        power_sum = _power_sum_poly(ell, eta)
+        for t in range(-60, 61):
+            g = [power_sum[0] - t] + power_sum[1:]
+            assert rational_roots_monic(g) == _divisor_roots(g), (eta, t)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_resolvent_of_a_rational_c(ell):
+    # c = s**l: eta = s**2, t = 2*s**l, and the resolvent is (tau - 2s) * h(tau)**2
+    for s in range(-6, 7):
+        power_sum = _power_sum_poly(ell, s * s)
+        g = [power_sum[0] - 2 * s ** ell] + power_sum[1:]
+        got = rational_roots_monic(g)
+        assert got == _divisor_roots(g) and 2 * s in got
+    # over Q(sqrt -3), c = 8 has the cube roots 2, 2*zeta3, 2*zeta3**2, of traces 4, -2, -2
+    assert [-16] + _power_sum_poly(3, 4)[1:] == [-16, -12, 0, 1]
+    assert rational_roots_monic([-16, -12, 0, 1]) == [-2, 4]

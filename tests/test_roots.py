@@ -22,11 +22,13 @@ from ordens import (
     is_root_of_unity,
     lth_roots,
     parse_element,
+    roots,
     roots_of_unity,
     unit_order,
 )
 from ordens.field import valuation
-from ordens.roots import MAX_RESOLVENT_DEGREE, unit_orders
+from ordens.ratroots import rational_roots_monic
+from ordens.roots import MAX_RESOLVENT_DEGREE, norm_roots, unit_orders
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -142,6 +144,25 @@ class TestLthRoots:
         start = time.perf_counter()
         assert lth_roots(c, 7) == {b}
         assert time.perf_counter() - start < 2.0
+
+    def test_deep_resolvent_with_no_root_is_fast(self, monkeypatch):
+        # c = b**61 * g/conj(g) has a norm that is a 61st power and 3,400-bit coordinates, so
+        # the degree-61 resolvent is solved, and it has no integer root (1.5 s by a search)
+        field = FieldSpec(-7)
+        g = Element(field, 1, 1)
+        c = Element(field, 3 ** 35, 2 * 5 ** 24) ** 61 * g / g.conjugate()
+        assert c.u.bit_length() > 3400 and norm_roots(c, 61)
+        solved = []
+
+        def solve(poly):
+            solved.append(len(poly) - 1)
+            return rational_roots_monic(poly)
+
+        monkeypatch.setattr(roots, "rational_roots_monic", solve)
+        start = time.perf_counter()
+        assert lth_roots(c, 61) == set()
+        assert time.perf_counter() - start < 0.5
+        assert solved == [61]
 
     @pytest.mark.parametrize("v,ell,roots", [(4094, 2, 2), (4095, 2, 0), (4092, 3, 1), (4093, 3, 0)])
     def test_large_power_of_two_denominator(self, v, ell, roots):
