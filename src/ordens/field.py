@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -273,7 +274,10 @@ def format_element(e: Element) -> str:
 _FIELD_RE = re.compile(r"\s*Q\s*(?:\(\s*sqrt\s*(-?\d+)\s*\))?\s*\Z")
 
 
+@lru_cache(maxsize=64)
 def parse_field(text: str) -> FieldSpec:
+    """The field named by text, Q or Q(sqrt D); cached per text (a FieldSpec is
+    immutable), and an error is raised again on every call, never cached."""
     m = _FIELD_RE.match(text)
     if not m:
         raise ParseError(f"cannot parse field {text!r} (expected Q or Q(sqrt D))")

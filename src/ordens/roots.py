@@ -11,7 +11,9 @@ s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2},
 found by Hensel lifting (ratroots).
 Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
 candidate B/S is verified by exact exponentiation before being returned.
-Norm tests (the eta loop, decompose's depth-0 path, the halving-flag pretest
+A rational c skips the resolvent: its roots are rational or rational multiples
+of sqrt(d) at l = 2, and its rational l-th root times mu_l(K) at odd l.
+Norm tests (the eta loop, decompose's depth-0 return, the halving-flag pretest
 in cyclo) go through norm_roots, which reads N(c) from the ints (u, w, den).
 """
 
@@ -86,7 +88,7 @@ def norm_roots(c: Element, ell: int) -> tuple[tuple[int, int], ...]:
 
 
 def lth_roots(c: Element, ell: int) -> set[Element]:
-    """All b in the field with b**ell == c, found exactly."""
+    """All b in the field with b**ell == c (ell prime), found exactly."""
     if c.is_zero:
         raise DomainError("zero has no multiplicative structure here")
     field = c.field
@@ -95,8 +97,15 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
     if ell > MAX_RESOLVENT_DEGREE:
         raise DomainError(f"l-th roots over {field} need l <= {MAX_RESOLVENT_DEGREE}, "
                           f"got {ell}")
-    roots: set[Element] = set()
     d, den = field.d, c.den
+    if not c.w:  # (x + y*sqrt(d))**2 is rational only when x*y = 0
+        if ell == 2:
+            return ({_new(field, n, 0, m) for n, m in _nth_roots(c.u, den, 2)}
+                    | {_new(field, 0, n, m) for n, m in _nth_roots(c.u * d, den * d * d, 2)})
+        # x**l - c is irreducible over Q unless c = r**l (Capelli): then the roots are r*mu_l(K)
+        return {_new(field, n, 0, m) * z for n, m in _nth_roots(c.u, den, ell)
+                for z in roots_of_unity(field, ell)}
+    roots: set[Element] = set()
     # B = scale*b is integral for the least scale with den | scale**l: the l-th root of
     # den when that is an integer, else q**ceil(v_q(den)/l) at the primes q of 2d (their
     # product is lcm(2, d), d squarefree) times the l-th root of the rest of den.  Blocks
@@ -175,39 +184,45 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
         return self.base ** (self.ell ** self.depth) * self.unit
 
 
+def _round_trip(dec: Decomposition, a: Element) -> Decomposition:
+    if dec.recompose() != a:
+        raise InvariantError(f"decomposition round-trip failed for {a}")
+    return dec
+
+
 def decompose(a: Element, ell: int) -> Decomposition:
     """Maximal-depth power-times-unit normal form of a.
 
-    Searches depth upward, carrying for each unit xi the full set of
+    Every unit xi has norm 1, so each a/xi has norm N(a), and none has an
+    l-th root unless N(a) is an l-th power in Q (norm_roots).  When it is
+    not, the depth is 0, the unit 1 wins by order and a is its only
+    candidate, so decompose returns a = a**1 * 1 at once.  Otherwise it
+    searches depth upward, carrying for each unit xi the full set of
     ell**depth-th roots of a/xi (breadth-first over lth_roots); every root of
     unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so a/xi is
     a * conjugate(xi).  Feasibility is downward closed, so the first empty
-    level is conclusive.  Each a/xi has norm N(a); when that is not an l-th
-    power in Q (norm_roots) the depth is 0, and only xi = 1 is searched.  Over
-    Q this cuts no deeper search: N(a) = a**2 is a square, and at odd l (where
-    mu_l(Q) = {1}) an l-th power only when a is.  Among units reaching the
-    maximal depth the one of minimal multiplicative order wins (canonical
-    order breaks ties), which absorbs absorbable units into the base; the
-    base itself is the largest root by (x, y), compared as integers over one
-    denominator, so output is deterministic.
+    level is conclusive.  Over Q the norm test cuts no deeper search:
+    N(a) = a**2 is a square, and at odd l (where mu_l(Q) = {1}) an l-th power
+    only when a is.  Among units reaching the maximal depth the one of
+    minimal multiplicative order wins (canonical order breaks ties), which
+    absorbs absorbable units into the base; the base itself is the largest
+    root by (x, y), compared as integers over one denominator, so output is
+    deterministic.  Either way the normal form is checked to recompose to a.
     """
     if a.is_zero:
         raise DomainError("cannot decompose zero")
+    if not norm_roots(a, ell):  # so a is no root of unity either: those have norm 1
+        return _round_trip(Decomposition(ell, Case.POWER, 0, a, _new(a.field, 1, 0, 1), 0), a)
     if is_root_of_unity(a):
         return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
-    # Every unit has norm 1, so each a * conjugate(xi) has norm N(a), and none
-    # has an l-th root unless N(a) is an l-th power in Q.
-    deeper = bool(norm_roots(a, ell))
-    if not deeper:
-        mu = mu[:1]  # the unit 1, listed first: at depth 0 it wins by order
     orders = unit_orders(a.field)
     # mu[0] is the unit 1 (roots_of_unity lists it first), whose twist is a itself
     level: dict[Element, set[Element]] = {xi: {a * xi.conjugate() if k else a}
                                           for k, xi in enumerate(mu)}
     winners = level
     depth = 0
-    while deeper:
+    while True:
         nxt: dict[Element, set[Element]] = {}
         for xi, elems in level.items():
             grown: set[Element] = set()
@@ -229,7 +244,4 @@ def decompose(a: Element, ell: int) -> Decomposition:
         m = lcm(*(e.den for e in cands))
         base = max(cands, key=lambda e: (e.u * (m // e.den), e.w * (m // e.den)))
     case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
-    dec = Decomposition(ell, case, depth, base, xi, valuation(orders[xi], ell))
-    if dec.recompose() != a:
-        raise InvariantError(f"decomposition round-trip failed for {a}")
-    return dec
+    return _round_trip(Decomposition(ell, case, depth, base, xi, valuation(orders[xi], ell)), a)

@@ -407,6 +407,20 @@ class TestParsing:
             with pytest.raises(DomainError):
                 parse_field(text)
 
+    def test_field_texts_are_cached_per_text(self):
+        assert parse_field("Q(sqrt 5)") is parse_field("Q(sqrt 5)")
+        assert parse_field(" Q ( sqrt 5 ) ") == parse_field("Q(sqrt 5)") == FieldSpec(5)
+        assert isinstance(parse_field.cache_info().maxsize, int)  # bounded
+
+    def test_bad_field_texts_raise_on_every_call(self):
+        hits = parse_field.cache_info().hits
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                parse_field("Q(sqrt 4)")
+            with pytest.raises(ParseError):
+                parse_field("Q(x)")
+        assert parse_field.cache_info().hits == hits  # errors are never cached
+
     def test_element_grammar(self):
         assert parse_element("3", QQ) == elem(QQ, 3)
         assert parse_element("-1/2", QQ) == elem(QQ, Fraction(-1, 2))

@@ -17,6 +17,7 @@ from ordens import (
     DomainError,
     Element,
     FieldSpec,
+    InvariantError,
     decompose,
     density,
     is_root_of_unity,
@@ -177,6 +178,66 @@ class TestLthRoots:
         c = elem(GAUSS, Fraction(3, 5), Fraction(4, 5))
         assert lth_roots(c, 3) == set()
         assert lth_roots(c ** 3, 3) == {c}
+
+
+# Every root of a rational c over Q(sqrt d) is b*zeta or b*zeta*sqrt(d) for a rational b
+# (x**l - c is irreducible over Q unless c = b**l), so for the inputs below, all built
+# from the rationals of _RATIONAL_BASES, every root lies in this box.
+_RATIONAL_BASES = [Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-4, 3)]
+_BOX_COORDINATES = sorted({Fraction(s * n, m) for s in (1, -1) for n in range(5) for m in range(1, 5)})
+
+
+@pytest.mark.parametrize("field", [GAUSS, EISEN, RT3, FieldSpec(-2)], ids=str)
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_lth_roots_of_a_rational_match_a_brute_force_search(field, ell, monkeypatch):
+    units = list(unit_orders(field))
+    sqrt_d = Element(field, 0, 1)
+    cs = {(Element(field, b) * z * s) ** ell for b in _RATIONAL_BASES for z in units
+          for s in (Element(field, 1), sqrt_d)}
+    cs = {c for c in cs if c.w == 0} | {Element(field, 2)}  # 2 has no root in any of them
+    box = [Element(field, x, y) for x in _BOX_COORDINATES for y in _BOX_COORDINATES]
+
+    def no_resolvent(poly):
+        raise AssertionError("a rational c needs no resolvent")
+
+    monkeypatch.setattr(roots, "rational_roots_monic", no_resolvent)
+    found = 0
+    for c in cs:
+        got = lth_roots(c, ell)
+        assert got == {e for e in box if e ** ell == c}, c
+        found += bool(got)
+    assert found and found < len(cs)
+    if field == RT3 and ell == 2:  # 12/3 is a square: the roots are +-2*sqrt(3)
+        assert Element(field, 12) in cs
+        assert lth_roots(Element(field, 12), 2) == {elem(RT3, 0, 2), elem(RT3, 0, -2)}
+
+
+def _is_rational_power(q, ell):
+    """Whether the small rational q is an l-th power, by rounding float roots."""
+    num, den = abs(q.numerator), q.denominator
+    return ((q >= 0 or ell % 2 == 1) and round(num ** (1 / ell)) ** ell == num
+            and round(den ** (1 / ell)) ** ell == den)
+
+
+@pytest.mark.parametrize("field", [GAUSS, EISEN, RT2, RT3, FieldSpec(-7), FieldSpec(17)], ids=str)
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_depth_zero_returns_at_the_norm_test(field, ell, monkeypatch):
+    """When N(a) is not an l-th power in Q, decompose returns a = a**1 * 1 without
+    taking a root or listing a unit, and still checks the round trip."""
+    def boom(*args):
+        raise AssertionError("the depth-0 return searches nothing")
+
+    monkeypatch.setattr(roots, "lth_roots", boom)
+    monkeypatch.setattr(roots, "roots_of_unity", boom)
+    grid = [Fraction(n, m) for n in range(-6, 7) for m in (1, 2, 5)]
+    inputs = [elem(field, x, y) for x in grid[::3] for y in grid[1::4] if x or y]
+    inputs = [a for a in inputs if not _is_rational_power(a.x ** 2 - field.d * a.y ** 2, ell)]
+    assert len(inputs) > 50
+    for a in inputs:
+        assert decompose(a, ell) == Decomposition(ell, Case.POWER, 0, a, Element(field, 1), 0)
+    monkeypatch.setattr(Decomposition, "recompose", lambda dec: Element(field, 1))
+    with pytest.raises(InvariantError):
+        decompose(inputs[0], ell)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
