@@ -234,6 +234,8 @@ def _int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, by Newton's iteration from at least the floor."""
     if n < 2 or k == 1:
         return n
+    if n.bit_length() <= k:  # n < 2**k
+        return 1
     if k == 2:
         return isqrt(n)
     if (b := n.bit_length()) <= 40 * k and b <= 1000:  # a root below 2**40, as a float

@@ -1,20 +1,36 @@
 """Roots of unity, exact l-th roots, and the power-times-unit normal form.
 
-The l-th root solver works through a norm/trace resolvent over Z.  A root b
-of x**l = c = (u + w*sqrt(d)) / den gives B = S*b, an algebraic integer with
-B**l = C = (S**l / den) * (u + w*sqrt(d)).  The scale S is the least integer
-with den | S**l: a prime q prime to 2d is unramified and Z[sqrt d] is maximal
-at q, so v_q(den) = l*v_q(den(b)), and a den whose part prime to 2d is not an
-l-th power rules out every root.  Its norm eta is an integer with
-eta**l = norm(C), and its trace tau is an integer root of
-s_l(tau) = trace(C), where s_0 = 2, s_1 = tau, s_k = tau*s_{k-1} - eta*s_{k-2},
-found by Hensel lifting (ratroots).
-Then B = (tau + v*sqrt(d)) / 2 with v**2 = (tau**2 - 4*eta) / d, and every
-candidate B/S is verified by exact exponentiation before being returned.
-A rational c skips the resolvent: its roots are rational or rational multiples
-of sqrt(d) at l = 2, and its rational l-th root times mu_l(K) at odd l.
-Norm tests (the eta loop, decompose's depth-0 return, the halving-flag pretest
-in cyclo) go through norm_roots, which reads N(c) from the ints (u, w, den).
+A root b of x**l = c = (u + w*sqrt(d)) / den gives B = S*b, an algebraic
+integer with B**l = C = (S**l / den) * (u + w*sqrt(d)).  The scale S is the
+least integer with den | S**l: a prime q prime to 2d is unramified and
+Z[sqrt d] is maximal at q, so v_q(den) = l*v_q(den(b)), and a den whose part
+prime to 2d is not an l-th power rules out every root.  B = (tau + v*sqrt(d))/2
+with integers tau, v, and N(B) = eta is an l-th root of N(C) (norm_roots), so
+a c whose norm is no l-th power has no root.
+
+At l = 2, B**2 = C reads tau**2 = 2*(U + eta) and v = 2*W/tau in closed form,
+where C = U + W*sqrt(d) and W != 0.  At odd l, X = 2B = tau + v*sqrt(d) is
+lifted at one odd prime q (Hensel; Cohen, A Course in Computational Algebraic
+Number Theory, 1993).  q is prime to l*d*N(C), and x -> x**l is a bijection
+of (O_K/q)^*: l does not divide q**2 - 1, or q splits and l does not divide
+q - 1.  With D = 2**l * C and e the inverse of l modulo that group order,
+y = D**(-e) mod q is then the only y with y**l * D = 1 mod q, Newton's step
+y += y * (1 - D*y**l) / l in (Z/q**k)[sqrt d] lifts it with no inverse but
+1/l, and X = D * y**(l-1).  Over Q(sqrt -3) at l = 3 every such group holds
+the cube roots of unity, so q is inert with q = 2 or 5 (mod 9): 3 divides
+q**2 - 1 once, e inverts 3 modulo (q**2 - 1) / 3, y exists mod q only when
+D is a cube there, and the roots are the one lifted times mu_3(K).  q is the
+first such prime of a fixed list of the odd primes below 1024, or past it,
+of the odd numbers that trial division shows prime.  Each conjugate of X is
+|conjugate of D|**(1/l), which bit lengths bound, so tau and v are the
+symmetric residues of X once q**k passes twice that bound.  The candidate
+must then pass X**l == D mod 2**61 - 1, a pre-filter that keeps a wrong one
+from building an exact power of about l times its size, and every returned
+root is verified by exact exponentiation.
+A rational c needs no lift: its roots are rational or rational multiples of
+sqrt(d) at l = 2, and its rational l-th root times mu_l(K) at odd l.
+Norm tests (lth_roots, decompose's depth-0 return, the halving-flag pretest in
+cyclo) go through norm_roots, which reads N(c) from the ints (u, w, den).
 """
 
 from __future__ import annotations
@@ -22,22 +38,26 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 
 from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _new,
                     _nth_roots, valuation)
-from .ratroots import rational_roots_monic
 
 _MAX_DEPTH = 64
 
-# Largest l for which lth_roots works over a quadratic field.  The resolvent
-# has degree l, and ratroots lifts its integer roots from a small prime, so the
-# cost grows with l and with the roots' bit length, not with the range they
-# lie in.  At l = 61, a c with 3,500-bit coordinates whose norm is a 61st
-# power and that has no root takes about 1 ms; b**l with 4096 // l - 8 bit
-# coordinates over a 7-power den takes 'ordens density' about 2 ms at l = 7
-# or 11, with S the l-th root of den(c).
-MAX_RESOLVENT_DEGREE = 61
+# The odd primes below 1024, where lth_roots looks for its prime q first
+_ODD_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307,
+    311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409, 419, 421,
+    431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499, 503, 509, 521, 523, 541, 547,
+    557, 563, 569, 571, 577, 587, 593, 599, 601, 607, 613, 617, 619, 631, 641, 643, 647, 653, 659,
+    661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743, 751, 757, 761, 769, 773, 787, 797,
+    809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929,
+    937, 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013, 1019, 1021)
+_FILTER_PRIME = 2 ** 61 - 1  # the modulus of lth_roots' pre-filter
 
 
 @lru_cache(maxsize=256)
@@ -72,19 +92,75 @@ def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
     return [u for u, o in unit_orders(field).items() if o == ell ** valuation(o, ell)]
 
 
-def _power_sum_poly(ell: int, eta: int) -> list[int]:
-    s0, s1 = [2], [0, 1]
-    for _ in range(ell - 1):
-        nxt = [0] + s1
-        for i, c in enumerate(s0):
-            nxt[i] -= eta * c
-        s0, s1 = s1, nxt
-    return s1
-
-
 def norm_roots(c: Element, ell: int) -> tuple[tuple[int, int], ...]:
     """The rational l-th roots of N(c) = (u**2 - d*w**2) / den**2, as (num, den) pairs."""
     return _nth_roots(c.u * c.u - (c.field.d or 0) * c.w * c.w, c.den * c.den, ell)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], d: int, m: int) -> tuple[int, int]:
+    """(a0 + a1*sqrt(d)) * (b0 + b1*sqrt(d)) in (Z/m)[sqrt d]."""
+    return (a[0] * b[0] + d * a[1] * b[1]) % m, (a[0] * b[1] + a[1] * b[0]) % m
+
+
+def _pow(a: tuple[int, int], k: int, d: int, m: int) -> tuple[int, int]:
+    """a**k in (Z/m)[sqrt d], with _mul written out."""
+    x, y = a
+    rx, ry = 1, 0
+    while k:
+        if k & 1:
+            rx, ry = (rx * x + d * ry * y) % m, (rx * y + ry * x) % m
+        k >>= 1
+        if k:
+            x, y = (x * x + d * y * y) % m, 2 * x * y % m
+    return rx, ry
+
+
+def _lift(c: Element, ell: int, scale: int) -> tuple[int, int] | None:
+    """(tau, v) with X = tau + v*sqrt(d) the only candidate for 2*scale*b, b**ell == c
+    (up to mu_3 over Q(sqrt -3) at l = 3), or None when the lift rules out a root."""
+    d, den = c.field.d, c.den
+
+    def target(m: int) -> tuple[int, int]:  # D = 2**l * C mod m, without building it
+        t = pow(2 * scale, ell, m * den) // den  # den | scale**l
+        return t * c.u % m, t * c.w % m
+
+    # q must not divide l*d*N(D), N(D) = t**2 * (u**2 - d*w**2); a q prime to scale is prime to t
+    bad = ell * d * scale * (c.u * c.u - d * c.w * c.w)
+    later = (q for q in count(_ODD_PRIMES[-1] + 2, 2)
+             if all(q % p for p in range(3, isqrt(q) + 1, 2)))
+    for q in chain(_ODD_PRIMES, later):
+        if d == -3 and ell == 3:  # inert, and 3 divides q**2 - 1 once
+            if q % 9 not in (2, 5):
+                continue
+            order = (q * q - 1) // 3
+        elif (q * q - 1) % ell:  # a bijection whether q splits or not
+            order = q * q - 1
+        elif (q - 1) % ell and pow(d, (q - 1) // 2, q) == 1:  # q splits
+            order = q - 1
+        else:
+            continue
+        if bad % q:
+            break
+    goal = target(q)  # D mod q; the lift finds y = 1/X, since y**l * D = 1 needs no inverse
+    y = _pow(goal, order - pow(ell, -1, order), d, q)
+    if d == -3 and ell == 3 and _mul(_pow(y, 3, d, q), goal, d, q) != (1, 0):  # no cube mod q
+        return None
+    # each conjugate of X is below 2**ceil(bits / l), and so are |tau| and |v|
+    bits = (ell * (2 * scale).bit_length() - den.bit_length() + 2
+            + max(abs(c.u).bit_length(), abs(c.w).bit_length() + (abs(d).bit_length() + 1) // 2))
+    m = q
+    while m.bit_length() <= -(-bits // ell) + 1:  # Newton's step, mod m to mod m**2
+        m *= m
+        goal, k = target(m), pow(ell, -1, m)
+        e = _mul(goal, _pow(y, ell, d, m), d, m)
+        step = _mul(y, ((1 - e[0]) * k, -e[1] * k), d, m)
+        y = ((y[0] + step[0]) % m, (y[1] + step[1]) % m)
+    x = _mul(goal, _pow(y, ell - 1, d, m), d, m)
+    tau, v = (z - m if 2 * z > m else z for z in x)
+    p = _FILTER_PRIME
+    if _pow((tau % p, v % p), ell, d, p) != target(p):
+        return None
+    return tau, v
 
 
 def lth_roots(c: Element, ell: int) -> set[Element]:
@@ -94,9 +170,6 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
     field = c.field
     if field.is_rational:
         return {_new(field, n, 0, m) for n, m in _nth_roots(c.u, c.den, ell)}
-    if ell > MAX_RESOLVENT_DEGREE:
-        raise DomainError(f"l-th roots over {field} need l <= {MAX_RESOLVENT_DEGREE}, "
-                          f"got {ell}")
     d, den = field.d, c.den
     if not c.w:  # (x + y*sqrt(d))**2 is rational only when x*y = 0
         if ell == 2:
@@ -105,7 +178,9 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
         # x**l - c is irreducible over Q unless c = r**l (Capelli): then the roots are r*mu_l(K)
         return {_new(field, n, 0, m) * z for n, m in _nth_roots(c.u, den, ell)
                 for z in roots_of_unity(field, ell)}
-    roots: set[Element] = set()
+    norms = norm_roots(c, ell)  # norm(c) = (r/rd)**ell, r/rd = norm(b)
+    if not norms:
+        return set()
     # B = scale*b is integral for the least scale with den | scale**l: the l-th root of
     # den when that is an integer, else q**ceil(v_q(den)/l) at the primes q of 2d (their
     # product is lcm(2, d), d squarefree) times the l-th root of the rest of den.  Blocks
@@ -115,29 +190,30 @@ def lth_roots(c: Element, ell: int) -> set[Element]:
         scale, rest, primes = 1, den, lcm(2, d)
         while (g := gcd(rest, primes)) > 1:
             k = 1
-            while rest % g ** (2 * k * ell) == 0:
+            while 2 * k * ell < rest.bit_length() and rest % g ** (2 * k * ell) == 0:
                 k *= 2
             scale *= g ** k
-            rest //= gcd(rest, g ** (k * ell))
+            rest //= gcd(rest, g ** min(k * ell, rest.bit_length()))  # v_g(rest) < its bits
         root = _int_nth_root(rest, ell)
         if root ** ell != rest:
-            return roots
+            return set()
         scale *= root
-    for r, rd in norm_roots(c, ell):  # norm(c) = (r/rd)**ell, r/rd = norm(b)
-        # norm(B), exact: rd**ell divides den**2, which divides scale**(2*ell)
-        eta = r * scale * scale // rd
-        poly = _power_sum_poly(ell, eta)
-        poly[0] -= 2 * (scale ** ell // den) * c.u  # trace(B**ell)
-        for tau in rational_roots_monic(poly):
-            vv, rem = divmod(tau * tau - 4 * eta, d)
-            s = isqrt(max(vv, 0))
-            if rem or s * s != vv:
-                continue
-            for v in (s, -s) if s else (0,):
-                cand = _make(field, tau, v, 2 * scale)
-                if cand ** ell == c:
-                    roots.add(cand)
-    return roots
+    if ell == 2:
+        roots: set[Element] = set()
+        t = scale * scale // den
+        for r, rd in norms:
+            eta = r * scale * scale // rd  # norm(B), exact: rd**2 divides den**2 | scale**4
+            tau2 = 2 * (t * c.u + eta)
+            tau = isqrt(max(tau2, 0))
+            if tau and tau * tau == tau2 and (2 * t * c.w) % tau == 0:
+                b = _make(field, tau, 2 * t * c.w // tau, 2 * scale)
+                if b * b == c:
+                    roots |= {b, -b}
+        return roots
+    found = _lift(c, ell, scale)
+    if not found or (b := _make(field, *found, 2 * scale)) ** ell != c:
+        return set()
+    return {b * z for z in roots_of_unity(field, ell)} if d == -3 and ell == 3 else {b}
 
 
 class Case(str, Enum):

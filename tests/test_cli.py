@@ -132,16 +132,13 @@ class TestLimits:
     """Each documented limit answers exit 3 at once, with no traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["density", "--ell", "67", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"],
-        ["density", "--ell", "211", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"],
         ["density", "--ell", "1000000000000000003", "--field", "Q", "--a", "3"],
         ["density", "--ell", "3", "--field", "Q(sqrt 1000000000000000003)", "--a", "3"],
         ["density", "--ell", "3", "--field", f"Q(sqrt {'7' * 5000})", "--a", "3"],
         ["kummer", "--ell", "2", "--field", "Q", "--a", "3", "--m", "100000", "--n", "100000"],
         ["kummer", "--ell", "2", "--field", "Q", "--a", "3", "--m", "1000000000", "--n", "1"],
         ["scan", "--ell", "3", "--field", "Q", "--a", "2", "--bound", "10000001"],
-    ], ids=["ell67", "ell211", "ell60bits", "d60bits", "d5000digits", "kummer_mn",
-            "kummer_m", "bound"])
+    ], ids=["ell60bits", "d60bits", "d5000digits", "kummer_mn", "kummer_m", "bound"])
     def test_over_the_limit_is_3(self, argv):
         code, err = run_subprocess(argv, budget=1.0)
         assert code == 3
@@ -151,9 +148,24 @@ class TestLimits:
         code, out = run(["density", "--ell", "61", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"])
         assert code == 0 and Fraction(out.strip()) > 0
 
+    # Units pass the norm test for every odd l, so each of these lifts a root at the
+    # largest prime l below 2**20.  The lift is about 0.2 ms and the whole command
+    # 0.1-0.15 s on a 2-core VM; a wrong candidate's exact power would have l bits.
+    @pytest.mark.parametrize("field,a", [
+        ("Q(sqrt 2)", "1+1*sqrt(2)"), ("Q(sqrt 3)", "2+1*sqrt(3)"),
+        ("Q(sqrt 5)", "1/2+1/2*sqrt(5)"),
+    ], ids=["sqrt2", "sqrt3", "golden"])
+    def test_unit_at_the_largest_ell_answers(self, field, a):
+        ell = 1048573
+        proc = run_process(["density", "--ell", str(ell), "--field", field, f"--a={a}"],
+                           budget=1.0)
+        assert proc.returncode == 0, proc.stderr
+        element = ordens.parse_element(a, ordens.parse_field(field))
+        assert Fraction(proc.stdout.strip()) == ordens.density_series(element, ell).value
+
 
 class TestRootSearchSpeed:
-    """Resolvent root searches near the coordinate limit (subprocess, wall time)."""
+    """Root lifts near the coordinate limit (subprocess, wall time)."""
 
     def _decompose(self, ell, field, a, budget):
         proc = run_process(["decompose", "--ell", str(ell), "--field", field, f"--a={a}"],
@@ -218,14 +230,14 @@ class TestScanCommand:
                          "--bound", "3000", "--compare"])
         assert code == 0 and "max_abs_error" in out
 
-    def test_plain_scan_needs_no_exact_side(self, capsys):
-        # l-th roots over Q(sqrt 2) need l <= 61, so the exact side refuses l = 67
+    def test_plain_scan_needs_no_exact_side(self):
+        # a plain scan reports no exact density; --compare adds it, here at l = 67
         argv = ["scan", "--ell", "67", "--field", "Q(sqrt 2)", "--a=1+1*sqrt(2)",
                 "--bound", "1000"]
         code, out = run(argv)
-        assert code == 0 and out.startswith("counted ")
-        assert run([*argv, "--compare"]) == (3, "")
-        assert "need l <= 61" in capsys.readouterr().err
+        assert code == 0 and out.startswith("counted ") and "exact" not in out
+        code, out = run([*argv, "--compare"])
+        assert code == 0 and "max_abs_error 67/4488 (0.014929)" in out.splitlines()
 
 
 class TestTablesCommand:

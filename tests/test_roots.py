@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from conftest import FIELDS
@@ -28,8 +29,7 @@ from ordens import (
     unit_order,
 )
 from ordens.field import valuation
-from ordens.ratroots import rational_roots_monic
-from ordens.roots import MAX_RESOLVENT_DEGREE, norm_roots, unit_orders
+from ordens.roots import norm_roots, unit_orders
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -94,7 +94,7 @@ class TestLthRoots:
         assert lth_roots(elem(RT3, 12), 2) == {elem(RT3, 0, 2), elem(RT3, 0, -2)}
 
     def test_double_resolvent_root_regression(self):
-        # square roots of -4 in Q(i): the trace resolvent degenerates to tau**2
+        # square roots of -4 in Q(i): a rational c whose roots have trace 0
         assert lth_roots(elem(GAUSS, -4), 2) == {elem(GAUSS, 0, 2), elem(GAUSS, 0, -2)}
 
     def test_cube_roots_with_unit_twists(self):
@@ -116,16 +116,17 @@ class TestLthRoots:
             lth_roots(elem(QQ, 0), 2)
 
     def test_resolvent_degree_cap(self):
-        unit = elem(RT2, 1, 1)  # norm -1, so the resolvent is built for every odd l
-        assert lth_roots(unit ** MAX_RESOLVENT_DEGREE, MAX_RESOLVENT_DEGREE) == {unit}
-        for ell in (67, 211):
-            with pytest.raises(DomainError):
-                lth_roots(unit, ell)
-        assert lth_roots(elem(QQ, 3) ** 67, 67) == {elem(QQ, 3)}  # Q has no resolvent
+        # no cap on l: the root is lifted at one prime for every odd l
+        unit = elem(RT2, 1, 1)  # norm -1, so every odd l passes the norm test
+        for ell in (61, 67, 211):
+            assert lth_roots(unit ** ell, ell) == {unit}
+            assert lth_roots(unit, ell) == set()
+        assert lth_roots(elem(QQ, 3) ** 67, 67) == {elem(QQ, 3)}
+        assert lth_roots(elem(RT2, 3) ** 67, 67) == {elem(RT2, 3)}
 
     def test_large_denominator_power_is_fast(self):
         # b**7 with 500-bit coordinates over 7**178: den(c) = den(b)**7 is a 7th power,
-        # so the resolvent search is scaled by den(b), not by den(c)
+        # so the lift is scaled by den(b), not by den(c)
         bits = 4096 // 7 - 8
         den = 7 ** (bits * 100 // 281)
         b = Element(GAUSS, Fraction(3 ** (bits * 100 // 159) + 1, den),
@@ -136,7 +137,7 @@ class TestLthRoots:
 
     def test_large_denominator_not_an_lth_power_is_fast(self):
         # 1+i divides b's numerator, so den(b**7) = 2**(7*C - 3) is no 7th power; the
-        # search is scaled by 2**ceil(v_2/7), not by den(c) (8 s with that scale)
+        # lift is scaled by 2**ceil(v_2/7), not by den(c)
         bits = 4096 // 7 - 8
         b = Element(GAUSS, Fraction(3 ** (bits * 100 // 159), 2 ** (bits * 100 // 160)),
                     Fraction(2 ** bits - 1, 2 ** (bits * 100 // 160)))
@@ -148,22 +149,47 @@ class TestLthRoots:
 
     def test_deep_resolvent_with_no_root_is_fast(self, monkeypatch):
         # c = b**61 * g/conj(g) has a norm that is a 61st power and 3,400-bit coordinates, so
-        # the degree-61 resolvent is solved, and it has no integer root (1.5 s by a search)
+        # it passes the norm test, and one lift shows that it has no root
         field = FieldSpec(-7)
         g = Element(field, 1, 1)
         c = Element(field, 3 ** 35, 2 * 5 ** 24) ** 61 * g / g.conjugate()
         assert c.u.bit_length() > 3400 and norm_roots(c, 61)
-        solved = []
+        lifted = []
 
-        def solve(poly):
-            solved.append(len(poly) - 1)
-            return rational_roots_monic(poly)
+        def lift(*args):
+            lifted.append(args[1])
+            return lift_root(*args)
 
-        monkeypatch.setattr(roots, "rational_roots_monic", solve)
+        lift_root = roots._lift
+        monkeypatch.setattr(roots, "_lift", lift)
         start = time.perf_counter()
         assert lth_roots(c, 61) == set()
         assert time.perf_counter() - start < 0.5
-        assert solved == [61]
+        assert lifted == [61]
+
+    def test_prime_choice_past_every_usable_prime_below_1000(self):
+        # at l = 3 over Q(i) the lift needs a split q (q = 1 mod 4) with 3 not dividing q - 1;
+        # b is one Gaussian prime above each p = 1 mod 4 below 1000 times every p = 3 mod 4
+        # below 1000, so N(b**3) has every such q below 1000, and the search runs on to 1013
+        b = Element(GAUSS, 1)
+        for p in range(3, 1000, 2):
+            if any(p % f == 0 for f in range(3, p, 2)):
+                continue
+            if p % 4 == 3:
+                b *= Element(GAUSS, p)
+            else:  # x + y*i with x**2 + y**2 = p
+                x = next(x for x in range(p) if isqrt(p - x * x) ** 2 == p - x * x)
+                b *= Element(GAUSS, x, isqrt(p - x * x))
+        c = b ** 3
+        norm = c.u * c.u + c.w * c.w
+        assert c.u.bit_length() == 3140
+        assert all(norm % q == 0 for q in range(5, 1000, 12) if all(q % f for f in range(3, q, 2)))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert lth_roots(c, 3) == {b}
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
 
     @pytest.mark.parametrize("v,ell,roots", [(4094, 2, 2), (4095, 2, 0), (4092, 3, 1), (4093, 3, 0)])
     def test_large_power_of_two_denominator(self, v, ell, roots):
@@ -182,7 +208,9 @@ class TestLthRoots:
 
 # Every root of a rational c over Q(sqrt d) is b*zeta or b*zeta*sqrt(d) for a rational b
 # (x**l - c is irreducible over Q unless c = b**l), so for the inputs below, all built
-# from the rationals of _RATIONAL_BASES, every root lies in this box.
+# from the rationals of _RATIONAL_BASES, every root lies in this box.  A root b of
+# c = e**l * xi, for e in the box and xi a root of unity, has (b/e)**(l * order(xi)) = 1,
+# so b lies in the box times the roots of unity.
 _RATIONAL_BASES = [Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-4, 3)]
 _BOX_COORDINATES = sorted({Fraction(s * n, m) for s in (1, -1) for n in range(5) for m in range(1, 5)})
 
@@ -197,19 +225,33 @@ def test_lth_roots_of_a_rational_match_a_brute_force_search(field, ell, monkeypa
     cs = {c for c in cs if c.w == 0} | {Element(field, 2)}  # 2 has no root in any of them
     box = [Element(field, x, y) for x in _BOX_COORDINATES for y in _BOX_COORDINATES]
 
-    def no_resolvent(poly):
-        raise AssertionError("a rational c needs no resolvent")
+    def no_lift(*args):
+        raise AssertionError("a rational c needs no lift")
 
-    monkeypatch.setattr(roots, "rational_roots_monic", no_resolvent)
+    with monkeypatch.context() as patch:
+        patch.setattr(roots, "_lift", no_lift)
+        found = 0
+        for c in cs:
+            got = lth_roots(c, ell)
+            assert got == {e for e in box if e ** ell == c}, c
+            found += bool(got)
+        assert found and found < len(cs)
+        if field == RT3 and ell == 2:  # 12/3 is a square: the roots are +-2*sqrt(3)
+            assert Element(field, 12) in cs
+            assert lth_roots(Element(field, 12), 2) == {elem(RT3, 0, 2), elem(RT3, 0, -2)}
+    # non-rational c: powers of box elements times roots of unity, and the box itself
+    # (a root of a box element outside the wider box would fail here, never pass)
+    powers: dict[Element, set[Element]] = {}
+    for e in {e * z for e in box for z in units}:
+        powers.setdefault(e ** ell, set()).add(e)
+    cs = {e ** ell * z for e in box[::3] for z in units if not e.is_zero} | set(box)
+    cs = [c for c in cs if c.w]
     found = 0
     for c in cs:
         got = lth_roots(c, ell)
-        assert got == {e for e in box if e ** ell == c}, c
+        assert got == powers.get(c, set()), c
         found += bool(got)
-    assert found and found < len(cs)
-    if field == RT3 and ell == 2:  # 12/3 is a square: the roots are +-2*sqrt(3)
-        assert Element(field, 12) in cs
-        assert lth_roots(Element(field, 12), 2) == {elem(RT3, 0, 2), elem(RT3, 0, -2)}
+    assert 0 < found < len(cs)
 
 
 def _is_rational_power(q, ell):
