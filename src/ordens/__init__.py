@@ -29,7 +29,7 @@ from .field import (
     parse_element,
     parse_field,
 )
-from .kummer import KummerQuery, kummer_relative_degree, total_degree
+from .kummer import KummerQuery, total_degree
 from .roots import (
     Case,
     Decomposition,
@@ -56,7 +56,7 @@ __all__ = [
     "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",
     "unit_order", "is_root_of_unity",
     "CycloProfile", "Tower", "cyclo_profile", "cyclotomic_degree", "special_case_flag",
-    "KummerQuery", "kummer_relative_degree", "total_degree",
+    "KummerQuery", "total_degree",
     "DensityValue", "density", "density_closed", "density_series",
     "analyze", "shape_check", "ShapeReport", "InvariantError", "ShapeViolation",
     "PrimeSlot", "ScanReport", "enumerate_slots",

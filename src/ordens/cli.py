@@ -27,11 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import tables
-from .cyclo import cyclo_profile
+from .cyclo import cyclo_profile, cyclotomic_degree
 from .density import InvariantError, analyze, density, density_series
 from .field import (DomainError, FieldMismatch, ParseError, _check_ell, parse_element,
                     parse_field)
-from .kummer import KummerQuery, kummer_relative_degree, total_degree
+from .kummer import KummerQuery, total_degree
 from .roots import Case, decompose
 from .scan import empirical_density
 
@@ -129,7 +129,7 @@ def _cmd_density(args, a) -> tuple:
 def _cmd_kummer(args, a) -> tuple:
     dec, prof, special = analyze(a, args.ell)
     q = KummerQuery(args.ell, args.m, args.n, dec, prof, special)
-    rel, tot = kummer_relative_degree(q), total_degree(q)
+    rel = (tot := total_degree(q)) // cyclotomic_degree(prof, args.m)
     return (0, [f"relative_degree {rel}", f"total_degree {tot}"],
             {"relative_degree": rel, "total_degree": tot,
              "m": args.m, "n": args.n, "special": special})

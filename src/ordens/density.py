@@ -8,11 +8,12 @@ halving flag), so, like the series cells below, each is computed once per
 shape per process and is exact for every a of that shape.  density reduces a
 prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
-a**(l**k) is a's own shifted by k (Decomposition.raised, or .shape past
-torsion), so no power of a is built.  density_series re-derives D(a, n)
-independently from the paper's joint law for (v, k), v = v_l(Np - 1) and k
-the l-valuation of the order of a mod p: with T(m, j) = [K(zeta_{l^m},
-a**(1/l**j)) : K] from kummer.kummer_degree, T(0, 0) = 1 and j = m - n,
+a**(l**k) is a's own shifted by k (Decomposition.shape, or for a root of
+unity xi the order of xi**(l**k)), so no power of a is built.
+density_series re-derives D(a, n) independently from the paper's joint law
+for (v, k), v = v_l(Np - 1) and k the l-valuation of the order of a mod p:
+with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from kummer.kummer_degree,
+T(0, 0) = 1 and j = m - n,
 
     P(m, 0) = 1/T(m, m) - 1/T(m+1, m)
     P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
@@ -93,7 +94,8 @@ def density_closed(a: Element, ell: int) -> DensityValue:
 def _closed(dec: Decomposition, prof: CycloProfile, special: bool, k: int = 0) -> DensityValue:
     """The closed form of D(a**(l**k)) from a's normal form, profile and halving flag."""
     if dec.case is Case.ROOT_OF_UNITY:
-        order = unit_order(dec.raised(k).unit)
+        order = unit_order(dec.unit)
+        order //= dec.ell ** min(k, valuation(order, dec.ell))  # the order of unit**(l**k)
         value = Fraction(1) if order % dec.ell else Fraction(0)
         return DensityValue(value, "closed_form", "torsion", (("order", order),))
     shape = dec.shape(k)

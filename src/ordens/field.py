@@ -4,6 +4,8 @@ Elements x + y*sqrt(d), d squarefree, are held as integer triples (u, w, den)
 with x = u/den, y = w/den, den > 0 and gcd(u, w, den) = 1; Q is the case w = 0.
 Arithmetic is exact and multiplicative (products, quotients, powers, negation,
 conjugation); floats serve only cli._approx's display and _int_nth_root's guess.
+_mul and _pow are the one kernel for x + y*sqrt(d) in (Z/m)[sqrt d], held as pairs
+(x, y): roots._lift lifts l-th roots with it, and scan powers its inert slots.
 """
 
 from __future__ import annotations
@@ -260,6 +262,24 @@ def _nth_roots(num: int, den: int, k: int) -> tuple[tuple[int, int], ...]:
         return ()
     rn = -rn if num < 0 else rn
     return ((rn, rd), (-rn, rd)) if k % 2 == 0 and num else ((rn, rd),)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], d: int, m: int) -> tuple[int, int]:
+    """(a0 + a1*sqrt(d)) * (b0 + b1*sqrt(d)) in (Z/m)[sqrt d]."""
+    return (a[0] * b[0] + d * a[1] * b[1]) % m, (a[0] * b[1] + a[1] * b[0]) % m
+
+
+def _pow(a: tuple[int, int], k: int, d: int, m: int) -> tuple[int, int]:
+    """a**k in (Z/m)[sqrt d], with _mul written out."""
+    x, y = a
+    rx, ry = 1, 0
+    while k:
+        if k & 1:
+            rx, ry = (rx * x + d * ry * y) % m, (rx * y + ry * x) % m
+        k >>= 1
+        if k:
+            x, y = (x * x + d * y * y) % m, 2 * x * y % m
+    return rx, ry
 
 
 def format_element(e: Element) -> str:

@@ -2,11 +2,11 @@
 
 kummer_degree computes [K(zeta_{l^m}, a**(1/l**n)) : K], the cyclotomic
 degree times the Kummer step over K(zeta_{l^m}), from scalars only and
-unchecked, for density_series; KummerQuery, total_degree and
-kummer_relative_degree are its validated form for the kummer command.  The
-step depends on the prime l, levels m >= n, the power-times-unit normal form
-(depth d, unit level r), the tower profile (stall t, zeta4_stall s) and the
-halving flag.  When the tower over K is cyclic (l odd, or i in K) it is
+unchecked, for density_series; KummerQuery and total_degree are its checked
+form, from which the kummer command also prints the step.  The step depends
+on the prime l, levels m >= n, the power-times-unit normal form (depth d,
+unit level r), the tower profile (stall t, zeta4_stall s) and the halving
+flag.  When the tower over K is cyclic (l odd, or i in K) it is
 l**max(0, n-d, n+r-m), after lifting m to t (the fields coincide below the
 stall); plain powers have r = 0.  For l = 2 without i the plain-power step is
 2**max(0, n-d), dropping to 2**max(0, n-d-1) once m passes the halving
@@ -80,7 +80,3 @@ def total_degree(q: KummerQuery) -> int:
     if q.decomp.case is Case.ROOT_OF_UNITY:
         raise DomainError("root-of-unity inputs have no Kummer normal form")
     return kummer_degree(*q)
-
-
-def kummer_relative_degree(q: KummerQuery) -> int:
-    return total_degree(q) // cyclotomic_degree(q.profile, q.m)

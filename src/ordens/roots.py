@@ -41,8 +41,8 @@ from functools import lru_cache
 from itertools import chain, count
 from math import gcd, isqrt, lcm
 
-from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _new,
-                    _nth_roots, valuation)
+from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _mul,
+                    _new, _nth_roots, _pow, valuation)
 
 _MAX_DEPTH = 64
 
@@ -95,24 +95,6 @@ def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
 def norm_roots(c: Element, ell: int) -> tuple[tuple[int, int], ...]:
     """The rational l-th roots of N(c) = (u**2 - d*w**2) / den**2, as (num, den) pairs."""
     return _nth_roots(c.u * c.u - (c.field.d or 0) * c.w * c.w, c.den * c.den, ell)
-
-
-def _mul(a: tuple[int, int], b: tuple[int, int], d: int, m: int) -> tuple[int, int]:
-    """(a0 + a1*sqrt(d)) * (b0 + b1*sqrt(d)) in (Z/m)[sqrt d]."""
-    return (a[0] * b[0] + d * a[1] * b[1]) % m, (a[0] * b[1] + a[1] * b[0]) % m
-
-
-def _pow(a: tuple[int, int], k: int, d: int, m: int) -> tuple[int, int]:
-    """a**k in (Z/m)[sqrt d], with _mul written out."""
-    x, y = a
-    rx, ry = 1, 0
-    while k:
-        if k & 1:
-            rx, ry = (rx * x + d * ry * y) % m, (rx * y + ry * x) % m
-        k >>= 1
-        if k:
-            x, y = (x * x + d * y * y) % m, 2 * x * y % m
-    return rx, ry
 
 
 def _lift(c: Element, ell: int, scale: int) -> tuple[int, int] | None:
@@ -228,28 +210,16 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
     base is strongly indivisible, unit is a root of unity of order
     ell ** unit_level, and depth is maximal over all unit choices.  For a
     root-of-unity input base is None and unit is the input itself.  The
-    element is not stored: raised(k) derives the normal form of its
+    element is not stored: shape(k) derives what the densities read of its
     ell**k-th power from these fields alone.
     """
 
     __slots__ = ()
 
-    def raised(self, k: int) -> Decomposition:
-        """Normal form of element ** (ell ** k), without building that power.
-
-        The base (and so the halving flag) is unchanged; the depth grows by
-        k, and the unit becomes unit ** (ell ** k), of level
-        max(0, unit_level - k).
-        """
-        if k < 0:
-            raise DomainError(f"raised needs k >= 0, got {k}")
-        if self.case is Case.ROOT_OF_UNITY:
-            return self._replace(unit=self.unit ** pow(self.ell, k, unit_order(self.unit)))
-        return self.shape(k)._replace(
-            base=self.base, unit=self.unit ** pow(self.ell, k, self.ell ** self.unit_level))
-
     def shape(self, k: int = 0) -> Decomposition:
-        """raised(k) less base and unit, non-torsion: all the closed forms and series read."""
+        """The normal form of element ** (ell ** k) less base and unit, non-torsion: all the
+        closed forms and series read.  The base (so the halving flag) is unchanged, the
+        depth grows by k and the unit level falls to max(0, unit_level - k)."""
         level = max(0, self.unit_level - k)
         return Decomposition(self.ell, Case.POWER if level == 0 else self.case, self.depth + k,
                              None, None, level)

@@ -19,7 +19,7 @@ maps reduce a = (u + w*sqrt(d))/den, then conj(a), to red mod p at r.  When
 v = 0, l does not divide the order and each slot is (0, 0) with no power.
 Otherwise x = red**e has order dividing l**v, and list.count after each
 l-th power of x reads the cells k = 0, 1, ... up to v.  Inert slots at odd
-p live in F_p[T]/(T**2 - d) with hand-rolled pair arithmetic, one at a time.
+p live in F_p[T]/(T**2 - d), one at a time, powered by field._pow.
 
 A scan only counts.  It imports nothing from the density code it checks,
 so exact values come from the caller, as in cli's `scan --compare`.
@@ -36,7 +36,7 @@ from itertools import chain, compress, count, repeat
 from math import isqrt
 from operator import add, itemgetter, mod, mul
 
-from .field import DomainError, Element, FieldSpec, _check_ell, valuation
+from .field import DomainError, Element, FieldSpec, _check_ell, _pow, valuation
 
 # p: the rational prime under the slot; kind: "split" (degree one) or "inert";
 # norm: p or p**2; sqrt_d: the residue of sqrt(d) mod p for a split slot of a
@@ -138,16 +138,6 @@ def enumerate_slots(field: FieldSpec, norm_bound: int) -> tuple[PrimeSlot, ...]:
     return tuple(sorted(chain(split, inert_slots), key=itemgetter(0)))
 
 
-def _pow_fp2(c0: int, c1: int, e: int, p: int, d: int) -> tuple[int, int]:
-    r0, r1 = 1, 0
-    while e:
-        if e & 1:
-            r0, r1 = (r0 * c0 + r1 * c1 % p * d) % p, (r0 * c1 + r1 * c0) % p
-        c0, c1 = (c0 * c0 + c1 * c1 % p * d) % p, 2 * c0 * c1 % p
-        e >>= 1
-    return r0, r1
-
-
 def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, int]:
     inv = pow(den, -1, p)
     c0, c1 = u * inv % p, w * inv % p
@@ -161,14 +151,13 @@ def _inert_vk(u: int, w: int, den: int, d: int, p: int, ell: int) -> tuple[int, 
     if c0 == 0 and c1 == 0:
         raise DomainError(f"reduction mod {p} is not a unit")
     v = valuation(p * p - 1, ell)
-    dm = d % p
-    w0, w1 = _pow_fp2(c0, c1, (p * p - 1) // ell ** v, p, dm)
+    x = _pow((c0, c1), (p * p - 1) // ell ** v, d, p)
     k = 0
-    while (w0, w1) != (1, 0):
+    while x != (1, 0):
         k += 1
         if k == v:
             break
-        w0, w1 = _pow_fp2(w0, w1, ell, p, dm)
+        x = _pow(x, ell, d, p)
     return v, k
 
 

@@ -13,7 +13,7 @@ def test_all_is_pinned_and_resolves():
         "Case", "Decomposition", "decompose", "lth_roots", "roots_of_unity",
         "unit_order", "is_root_of_unity",
         "CycloProfile", "Tower", "cyclo_profile", "cyclotomic_degree", "special_case_flag",
-        "KummerQuery", "kummer_relative_degree", "total_degree",
+        "KummerQuery", "total_degree",
         "DensityValue", "density", "density_closed", "density_series",
         "analyze", "shape_check", "ShapeReport", "InvariantError", "ShapeViolation",
         "PrimeSlot", "ScanReport", "enumerate_slots",

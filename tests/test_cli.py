@@ -16,6 +16,7 @@ import pytest
 import ordens
 from ordens import tables
 from ordens.cli import build_parser, entrypoint, main
+from ordens.roots import unit_orders
 
 
 def run(argv):
@@ -47,6 +48,13 @@ class TestDensityCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "field,a,ell,n,exact,empirical,abs_error"
         assert lines[1] == "Q,3,2,0,1/3,,"
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt -1)", "Q(sqrt -3)"])
+    def test_torsion_params_give_the_order(self, field):
+        for xi, order in unit_orders(ordens.parse_field(field)).items():
+            code, out = run(["--format", "json", "density", "--ell", "2", "--field", field,
+                             f"--a={ordens.format_element(xi)}", "--val", "0"])
+            assert code == 0 and json.loads(out)["params"] == {"order": str(order)}, xi
 
 
 def run_process(argv, budget):
@@ -144,7 +152,7 @@ class TestLimits:
         assert code == 3
         assert "Traceback" not in err and err.startswith("error:")
 
-    def test_largest_resolvent_degree_answers(self):
+    def test_unit_at_ell_61_answers(self):
         code, out = run(["density", "--ell", "61", "--field", "Q(sqrt 2)", "--a", "1+1*sqrt(2)"])
         assert code == 0 and Fraction(out.strip()) > 0
 
@@ -192,6 +200,13 @@ class TestKummerCommand:
                          "--field", "Q", "--a", "2"])
         assert code == 0
         assert "relative_degree 1" in out and "total_degree 4" in out
+
+    def test_relative_degree_between_one_and_the_total(self):
+        # over Q(sqrt 5) at l = 3, [K(zeta_9) : K] = 6 and the cube root of 3 adds 3
+        code, out = run(["--format", "json", "kummer", "--ell", "3", "--field", "Q(sqrt 5)",
+                         "--a", "3", "--m", "2", "--n", "1"])
+        assert code == 0
+        assert '"relative_degree": 3, "special": false, "total_degree": 18' in out
 
 
 class TestDecomposeCommand:

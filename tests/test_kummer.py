@@ -16,8 +16,8 @@ from ordens import (
     FieldSpec,
     KummerQuery,
     analyze,
+    cyclotomic_degree,
     is_root_of_unity,
-    kummer_relative_degree,
     total_degree,
 )
 from ordens.kummer import MAX_VALUATION_BITS, kummer_degree
@@ -36,47 +36,51 @@ def query(a, ell, m, n):
     return KummerQuery(ell, m, n, dec, prof, special)
 
 
+def relative_degree(q):
+    return total_degree(q) // cyclotomic_degree(q.profile, q.m)
+
+
 class TestRelativeDegree:
     def test_cubic_layers_over_sqrt3(self):
-        assert kummer_relative_degree(query(elem(RT3, 2), 3, 2, 2)) == 9
+        assert relative_degree(query(elem(RT3, 2), 3, 2, 2)) == 9
 
     def test_sqrt2_joins_the_tower_at_level_eight(self):
         q = query(elem(QQ, 2), 2, 3, 1)
         assert q.special
-        assert kummer_relative_degree(q) == 1
-        assert kummer_relative_degree(query(elem(QQ, 2), 2, 2, 1)) == 2
+        assert relative_degree(q) == 1
+        assert relative_degree(query(elem(QQ, 2), 2, 2, 1)) == 2
 
     def test_power_times_unit_over_gaussian(self):
         a = elem(GAUSS, 0, 4)  # 4i: depth 2, unit of order 4
-        assert kummer_relative_degree(query(a, 2, 4, 3)) == 2
+        assert relative_degree(query(a, 2, 4, 3)) == 2
 
     def test_low_level_lifts_to_the_stall(self):
         # 2 = (1-i)**2 * i in Q(i); at m = n = 1 the level-2 field equals
         # the level-4 field, so the unit contributes fully
-        assert kummer_relative_degree(query(elem(GAUSS, 2), 2, 1, 1)) == 2
+        assert relative_degree(query(elem(GAUSS, 2), 2, 1, 1)) == 2
 
     def test_negated_power_boundary_layers(self):
         # -a is a square at every layer but sqrt(a) needs +/-1 switched
-        assert kummer_relative_degree(query(elem(QQ, -9), 2, 1, 1)) == 2
+        assert relative_degree(query(elem(QQ, -9), 2, 1, 1)) == 2
         # m = n >= s with trivial -a degree picks up the fresh root of -1
-        assert kummer_relative_degree(query(elem(QQ, -16), 2, 2, 2)) == 2
+        assert relative_degree(query(elem(QQ, -16), 2, 2, 2)) == 2
         # halving case: 4th root of -4 is 1+i, already in Q(zeta_4)
         q = query(elem(QQ, -4), 2, 2, 2)
         assert q.special
-        assert kummer_relative_degree(q) == 1
+        assert relative_degree(q) == 1
 
     def test_degree_divides_ell_power(self):
         for a, ell in [(elem(QQ, 12), 2), (elem(RT3, 2), 3), (elem(GAUSS, 2), 2)]:
             for m in range(1, 7):
                 for n in range(m + 1):
-                    deg = kummer_relative_degree(query(a, ell, m, n))
+                    deg = relative_degree(query(a, ell, m, n))
                     assert ell ** n % deg == 0
 
     def test_monotone_in_n(self):
         for a, ell in [(elem(QQ, 2), 2), (elem(QQ, -4), 2), (elem(RT3, 2), 3),
                        (elem(GAUSS, 0, 4), 2)]:
             for m in range(1, 8):
-                degs = [kummer_relative_degree(query(a, ell, m, n)) for n in range(m + 1)]
+                degs = [relative_degree(query(a, ell, m, n)) for n in range(m + 1)]
                 for lo, hi in zip(degs, degs[1:]):
                     assert hi % lo == 0 and hi // lo in (1, ell)
 
@@ -86,7 +90,7 @@ class TestRelativeDegree:
             # past the unit's reach and past any halving layer, m stops mattering
             floor = (prof.zeta4_stall or 0) + 1
             for n in range(1, 4):
-                degs = [kummer_relative_degree(query(a, ell, m, n)) for m in range(n, n + 6)]
+                degs = [relative_degree(query(a, ell, m, n)) for m in range(n, n + 6)]
                 for lo, hi in zip(degs, degs[1:]):
                     assert lo % hi == 0 and lo // hi in (1, ell)
                 stable = [d for m, d in zip(range(n, n + 6), degs)
@@ -94,13 +98,13 @@ class TestRelativeDegree:
                 assert len(set(stable)) <= 1
 
     def test_trivial_layer(self):
-        assert kummer_relative_degree(query(elem(QQ, 2), 2, 5, 0)) == 1
+        assert relative_degree(query(elem(QQ, 2), 2, 5, 0)) == 1
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DomainError):
             query(elem(QQ, 2), 2, 1, 2)  # n > m
         with pytest.raises(DomainError):
-            kummer_relative_degree(query(elem(GAUSS, 0, 1), 2, 1, 1))  # torsion
+            relative_degree(query(elem(GAUSS, 0, 1), 2, 1, 1))  # torsion
 
     def test_halving_flag_has_no_default(self):
         # over Q the flag of 2 is set: a default of False would give 8, not 4
@@ -162,7 +166,7 @@ def test_tower_laws(corpus):
                 ups = [t(m + 1, j)] + ([t(m, j + 1)] if j < m else [])
                 for up in ups:
                     assert up % here == 0 and up // here <= ell, (a, ell, m, j)
-                rel = kummer_relative_degree(KummerQuery(ell, m, j, dec, prof, special))
+                rel = relative_degree(KummerQuery(ell, m, j, dec, prof, special))
                 assert rel <= ell ** j, (a, ell, m, j)
                 checked += 1
     assert checked == 35 * len(corpus)

@@ -1,10 +1,11 @@
 """The valuation ladder: a's normal form shifted by k against a**(l**k) rebuilt.
 
-Decomposition.raised(k) must describe a**(l**k) exactly as decompose does
-when handed the power itself, and density(a, l, n) must equal the difference
+Decomposition.shape(k) must describe a**(l**k) exactly as decompose does when
+handed the power itself, and for a root of unity the order the closed form
+reads must be that of a**(l**k).  density(a, l, n) must equal the difference
 of the closed forms at a**(l**n) and a**(l**(n-1)), the two-power reference
 computation.  Bases are not compared: they may differ by a sign (for a = -3
-over Q with l = 2, raised(1) keeps -3 while decompose(9) picks 3), and the
+over Q with l = 2, a's base is -3 while decompose(9) picks 3), and the
 halving flag, which is compared, does not see that sign.
 """
 
@@ -19,14 +20,18 @@ from ordens import (
     QQ,
     Element,
     FieldSpec,
+    analyze,
     cyclo_profile,
     decompose,
     density,
     density_closed,
+    is_root_of_unity,
     roots_of_unity,
     special_case_flag,
     unit_order,
 )
+from ordens.density import _closed
+from ordens.field import valuation
 from ordens.roots import unit_orders
 
 FIELDS = [QQ] + [FieldSpec(d) for d in (-3, -2, -1, 2, 3, 5)]
@@ -64,13 +69,13 @@ def _flag(a: Element, ell: int, base: Element | None) -> bool | None:
 @given(ladders(first_k=0))
 def test_raised_matches_the_decomposed_power(case):
     a, ell, k = case
-    shifted = decompose(a, ell).raised(k)
+    dec = decompose(a, ell)
     direct = decompose(a ** ell ** k, ell)
-    assert (shifted.case, shifted.depth, shifted.unit_level) == \
-        (direct.case, direct.depth, direct.unit_level)
-    assert unit_order(shifted.unit) == unit_order(direct.unit)
-    assert _flag(a, ell, shifted.base) == _flag(a, ell, direct.base)
-    assert shifted.recompose() == a ** ell ** k
+    if is_root_of_unity(a):
+        assert dict(_closed(*analyze(a, ell), k).params)["order"] == unit_order(a ** ell ** k)
+    else:
+        assert dec.shape(k) == direct.shape()
+    assert _flag(a, ell, dec.base) == _flag(a, ell, direct.base)
 
 
 @LADDER
@@ -80,3 +85,14 @@ def test_density_is_the_two_power_difference(case):
     reference = (density_closed(a ** ell ** n, ell).value
                  - density_closed(a ** ell ** (n - 1), ell).value)
     assert density(a, ell, n).value == reference
+
+
+def test_torsion_at_every_n():
+    """A root of unity xi has order valuation v_l(order of xi) at every prime, so
+    D(xi, n) is 1 at that n and 0 at every other."""
+    for field in (QQ, FieldSpec(-1), FieldSpec(-3)):
+        for xi, order in unit_orders(field).items():
+            for ell in (2, 3, 5):
+                v = valuation(order, ell)
+                assert [density(xi, ell, n).value for n in range(5)] == \
+                    [int(n == v) for n in range(5)], (xi, ell)

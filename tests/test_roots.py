@@ -19,6 +19,7 @@ from ordens import (
     Element,
     FieldSpec,
     InvariantError,
+    analyze,
     decompose,
     density,
     is_root_of_unity,
@@ -28,6 +29,7 @@ from ordens import (
     roots_of_unity,
     unit_order,
 )
+from ordens.density import _closed
 from ordens.field import valuation
 from ordens.roots import norm_roots, unit_orders
 
@@ -93,7 +95,7 @@ class TestLthRoots:
     def test_twelve_over_sqrt3(self):
         assert lth_roots(elem(RT3, 12), 2) == {elem(RT3, 0, 2), elem(RT3, 0, -2)}
 
-    def test_double_resolvent_root_regression(self):
+    def test_trace_zero_square_roots_regression(self):
         # square roots of -4 in Q(i): a rational c whose roots have trace 0
         assert lth_roots(elem(GAUSS, -4), 2) == {elem(GAUSS, 0, 2), elem(GAUSS, 0, -2)}
 
@@ -115,7 +117,7 @@ class TestLthRoots:
         with pytest.raises(DomainError):
             lth_roots(elem(QQ, 0), 2)
 
-    def test_resolvent_degree_cap(self):
+    def test_every_odd_ell_lifts_without_a_cap(self):
         # no cap on l: the root is lifted at one prime for every odd l
         unit = elem(RT2, 1, 1)  # norm -1, so every odd l passes the norm test
         for ell in (61, 67, 211):
@@ -147,7 +149,7 @@ class TestLthRoots:
         assert lth_roots(c, 7) == {b}
         assert time.perf_counter() - start < 2.0
 
-    def test_deep_resolvent_with_no_root_is_fast(self, monkeypatch):
+    def test_deep_lift_with_no_root_is_fast(self, monkeypatch):
         # c = b**61 * g/conj(g) has a norm that is a 61st power and 3,400-bit coordinates, so
         # it passes the norm test, and one lift shows that it has no root
         field = FieldSpec(-7)
@@ -436,25 +438,28 @@ class TestDecompose:
     def test_raised_absorbs_the_unit(self):
         # 4 = (1+i)**4 * (-1) in Q(i); 16 = (1+i)**8 is a plain power
         dec = decompose(elem(GAUSS, 4), 2)
-        up = dec.raised(1)
+        up = dec.shape(1)
         assert (up.case, up.depth, up.unit_level) == (Case.POWER, 3, 0)
-        assert up.base == dec.base and up.unit == elem(GAUSS, 1)
-        assert up.recompose() == elem(GAUSS, 16)
-        assert dec.raised(0) == dec
+        assert up == decompose(elem(GAUSS, 16), 2).shape()
+        assert dec.shape(0) == dec._replace(base=None, unit=None)
 
     def test_raised_keeps_a_unit_of_higher_level(self):
         # 4i = (1+i)**4 * (-i) in Q(i): the unit of order 4 survives one step
-        up = decompose(elem(GAUSS, 0, 4), 2).raised(1)
+        up = decompose(elem(GAUSS, 0, 4), 2).shape(1)
         assert (up.case, up.depth, up.unit_level) == (Case.POWER_TIMES_UNIT, 3, 1)
-        assert up.recompose() == elem(GAUSS, -16)
+        assert up == decompose(elem(GAUSS, -16), 2).shape()
 
     def test_raised_root_of_unity(self):
+        # the closed form reads the order of xi**(2**k), k = 0, 1, 2
         z = elem(EISEN, Fraction(-1, 2), Fraction(1, 2))
         dec = decompose(z, 2)
         assert dec.unit == z and dec.recompose() == z
-        assert dec.raised(1).unit == z * z
-        assert dec.raised(2).unit == z
-        assert decompose(elem(GAUSS, 0, 1), 2).raised(2).unit == elem(GAUSS, 1)
+
+        def orders(xi):
+            return [dict(_closed(*analyze(xi, 2), k).params)["order"] for k in range(3)]
+
+        assert orders(z) == [3, 3, 3] and orders(-z) == [6, 3, 3]
+        assert orders(elem(GAUSS, 0, 1)) == [4, 2, 1]
 
     def test_round_trip_and_base_strongly_indivisible(self, corpus):
         for a, ell in corpus[::7]:
