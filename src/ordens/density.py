@@ -4,9 +4,10 @@ Every density here is a function of the normal form a = b**(l**d) * xi
 (depth d, unit level r, halving flag of b) and the tower profile alone.
 density_closed evaluates the closed forms on that data.  They read a only
 through its shape (the normal form less base and unit, the profile and the
-halving flag), so, like the series cells below, each is computed once per
-shape per process and is exact for every a of that shape.  density reduces a
-prescribed valuation n >= 1 to two closed evaluations via
+halving flag), so each is computed once per shape per process and is exact
+for every a of that shape, as are the series value (per shape and n) and the
+shape_check verdict; error texts are worded per call and name the input.
+density reduces a prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
 a**(l**k) is a's own shifted by k (Decomposition.shape, or for a root of
 unity xi the order of xi**(l**k)), so no power of a is built.
@@ -19,11 +20,9 @@ T(0, 0) = 1 and j = m - n,
     P(m, n) = 1/T(m, j) - 1/T(m+1, j) - 1/T(m, j+1) + 1/T(m+1, j+1)   (n >= 1)
 
 and D(a, n) = sum_{m>=n} P(m, n).  series_cells gives the cells as integers
-over the lcm of the degrees, and density_series closes the geometric tail
-exactly once consecutive cells lock onto the 1/l**2 decay.  The degrees, too,
-read a only through its shape, so the cells are computed once per shape and
-n per process.  The two paths share no formula code, which makes their
-agreement a meaningful cross-check.
+over the lcm of the degrees and, once consecutive cells lock onto the 1/l**2
+decay, their sum with the geometric tail closed exactly.  The two paths share
+no formula code, which makes their agreement a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -183,18 +182,19 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
 
 @lru_cache(maxsize=4096)
 def series_cells(shape: Decomposition, prof: CycloProfile, special: bool,
-                 n: int) -> tuple[tuple[int, ...], int]:
-    """Numerators of the cells P(m, n), m = n..M, and their common denominator.
+                 n: int) -> tuple[tuple[int, ...], int, DensityValue | None]:
+    """Numerators of the cells P(m, n), m = n..M, their common denominator and D(a, n).
 
     shape is a non-torsion normal form with base and unit cleared
-    (Decomposition.shape): kummer_degree reads only its
-    depth, unit level and case, so one cache entry serves every element of
-    that shape.  Cell m is P(m, n) = f(m, m - n) - f(m, m - n + 1) (the
-    second term only for n >= 1), where f(m, j) = 1/T(m, j) - 1/T(m + 1, j)
-    and T(0, 0) = 1.  M = n + d + r + t + s + 4 lies past every breakpoint
-    of the degree formulas.  The top degree T(M + 1, M - n + 1) is held to
-    the KummerQuery bit budget, so an n past the series' reach raises a
-    DomainError that names n.
+    (Decomposition.shape): kummer_degree reads only its depth, unit level and
+    case, so one cache entry serves every element of that shape.  Cell m is
+    P(m, n) = f(m, m - n) - f(m, m - n + 1) (the second term only for n >= 1),
+    where f(m, j) = 1/T(m, j) - 1/T(m + 1, j) and T(0, 0) = 1.
+    M = n + d + r + t + s + 4 lies past every breakpoint of the degree
+    formulas.  The top degree T(M + 1, M - n + 1) is held to the KummerQuery
+    bit budget, so an n past the series' reach raises a DomainError that
+    names n.  D(a, n) is None unless the last three cells decay by exactly
+    1/l**2 per step; it adds cell_M / (l**2 - 1) for the tail.
     """
     ell = shape.ell
     top = n + shape.depth + shape.unit_level + prof.stall + (prof.zeta4_stall or 0) + 4
@@ -212,17 +212,21 @@ def series_cells(shape: Decomposition, prof: CycloProfile, special: bool,
     cells = list(map(sub, nums[::2], nums[1::2]))  # f(m, j) numerators
     if n:
         cells = list(map(sub, cells[::2], cells[1::2]))
-    return tuple(cells), den
+    ell2 = ell * ell
+    if cells[-2] != cells[-1] * ell2 or cells[-3] != cells[-2] * ell2:
+        return tuple(cells), den, None  # density_series raises, naming its a
+    value = Fraction(sum(cells) * (ell2 - 1) + cells[-1], den * (ell2 - 1))
+    return tuple(cells), den, DensityValue(value, "series", "layer-sum", (("layers", len(cells)),))
 
 
 def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     """D(a, n) summed over v = v_l(Np - 1) from Kummer degrees, with an exact tail.
 
-    The cells come from series_cells, computed once per shape of a (see
-    there) per process; that is exact because the series reads a only
-    through its shape.  The last three cells must decay by exactly 1/l**2
-    per step (anything else is a formula bug and raises), and the tail
-    past the top cell is cell_M / (l**2 - 1).
+    The cells and their sum come from series_cells, computed once per shape
+    of a and n (see there) per process; that is exact because the series
+    reads a only through its shape.  The last three cells must decay by
+    exactly 1/l**2 per step (anything else is a formula bug and raises an
+    error naming a), and the tail past the top cell is cell_M / (l**2 - 1).
     """
     if a.is_zero:
         raise DomainError("density of zero is undefined")
@@ -231,14 +235,12 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
     if n < 0:
         raise DomainError("valuation must be nonnegative")
     dec, prof, special = analyze(a, ell)
-    cells, den = series_cells(dec.shape(), prof, special, n)
-    ell2 = ell * ell
-    if cells[-2] != cells[-1] * ell2 or cells[-3] != cells[-2] * ell2:
+    cells, den, value = series_cells(dec.shape(), prof, special, n)
+    if value is None:
         raise InvariantError(
             f"series for n = {n} did not stabilize by layer {n + len(cells) - 1} for {a}: tail "
             f"{', '.join(str(Fraction(c, den)) for c in cells[-3:])}")
-    return DensityValue(Fraction(sum(cells) * (ell2 - 1) + cells[-1], den * (ell2 - 1)),
-                        "series", "layer-sum", (("layers", len(cells)),))
+    return value
 
 
 # kind: which structural form applied, None when neither
@@ -251,24 +253,40 @@ def shape_check(a: Element, ell: int) -> ShapeReport:
     Without l-th roots of unity in K the density must equal
     1 - (1/[K(zeta_l):K]) * l**(1-d) / (l+1); with them (or with i in K
     for l = 2) it must be 1/(l**n (l+1)) or its complement for some n >= 0.
-    Violations raise ShapeViolation.
+    Violations raise ShapeViolation naming a; the verdict itself is computed
+    once per shape per process, by _shape_report.
     """
     if a.is_zero or is_root_of_unity(a):
         raise DomainError("shape checks expect a non-torsion element")
     dec, prof, special = analyze(a, ell)
-    got = _closed(dec, prof, special).value
+    try:
+        report = _shape_report(dec.shape(), prof, special)
+    except InvariantError:
+        _closed(dec, prof, special)  # words a negated-power disagreement with a's base
+        raise
+    if isinstance(report, str):
+        raise ShapeViolation(f"{a}: {report}")
+    return report
+
+
+@lru_cache(maxsize=4096)
+def _shape_report(shape: Decomposition, prof: CycloProfile, special: bool) -> ShapeReport | str:
+    """shape_check's ShapeReport for a non-torsion shape, or why it is violated, keyed as
+    _shape_closed is.  It checks _closed, so it is cached apart from _shape_closed."""
+    ell = shape.ell
+    got = _closed(shape, prof, special).value
     p, q = got.numerator, got.denominator
     if ell != 2 and not prof.has_zeta_ell and prof.stall == 1:
         # got == 1 - num/den, cross-multiplied
-        num = ell ** max(1 - dec.depth, 0)
-        den = prof.degree * (ell + 1) * ell ** max(dec.depth - 1, 0)
+        num = ell ** max(1 - shape.depth, 0)
+        den = prof.degree * (ell + 1) * ell ** max(shape.depth - 1, 0)
         if p * den != (den - num) * q:
-            raise ShapeViolation(f"{a}: expected {Fraction(den - num, den)}, computed {got}")
-        return ShapeReport("cyclotomic-scaled", got, f"d={dec.depth}")
+            return f"expected {Fraction(den - num, den)}, computed {got}"
+        return ShapeReport("cyclotomic-scaled", got, f"d={shape.depth}")
     if (ell != 2 and prof.has_zeta_ell) or (ell == 2 and prof.has_zeta4):
         # got and 1 - got = (q - p)/q share the lowest-terms denominator q
         k = q // (ell + 1)
         if q % (ell + 1) == 0 and k == ell ** valuation(k, ell) and 1 in (p, q - p):
             return ShapeReport("pure", got, f"1/(l^n(l+1)) side={'direct' if p == 1 else 'complement'}")
-        raise ShapeViolation(f"{a}: {got} is not 1/(l^n(l+1)) or its complement")
+        return f"{got} is not 1/(l^n(l+1)) or its complement"
     return ShapeReport(None, got, "no mandated shape for this field")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -66,3 +67,20 @@ def corpus() -> list[tuple[Element, int]]:
     items = build_corpus()
     assert len(items) >= 200
     return items
+
+
+@pytest.fixture
+def fresh_shape_caches():
+    """Empty every per-shape cache of ordens.density before and after the test.
+
+    A test that fakes a helper the cached answers are built from (kummer_degree,
+    _closed, ...) must not read answers cached from the real helper, nor leave
+    answers built from the fake one to later tests.
+    """
+    density = importlib.import_module("ordens.density")  # ordens.density is the function
+    caches = (density.series_cells, density._shape_closed, density._shape_report)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -30,7 +30,8 @@ from ordens import (
     parse_field,
     shape_check,
 )
-from ordens.density import MAX_VALUATION_BITS, ShapeViolation, _shape_closed, series_cells
+from ordens.density import (MAX_VALUATION_BITS, ShapeViolation, _shape_closed, _shape_report,
+                            series_cells)
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -94,19 +95,19 @@ class TestClosedForm:
         ("-16", "negated-power forms disagree for -b**(2**2) with b = 2: -13/24 vs 1/24"),
         ("-9/4", "negated-power forms disagree for -b**(2**1) with b = 3/2: -1/6 vs 1/6"),
     ])
-    def test_negated_power_disagreement_names_the_base(self, monkeypatch, atext, message):
+    def test_negated_power_disagreement_names_the_base(self, monkeypatch, fresh_shape_caches,
+                                                       atext, message):
         # the closed forms are cached per shape, which holds no base: the text still names it
         a = parse_element(atext, QQ)
         mod = importlib.import_module("ordens.density")
-        _shape_closed.cache_clear()  # a cached value for this shape would hide the fault
         monkeypatch.setattr(mod, "_zeta4_free_power", lambda d, s, h: (1, 3))
-        try:
-            with pytest.raises(InvariantError) as info:
-                density(a, 2)
-            assert str(info.value) == message
-            assert _shape_closed.cache_info().currsize == 0  # a failing shape is not cached
-        finally:
-            _shape_closed.cache_clear()  # drop anything built from the fake value
+        with pytest.raises(InvariantError) as info:
+            density(a, 2)
+        assert str(info.value) == message
+        assert _shape_closed.cache_info().currsize == 0  # a failing shape is not cached
+        with pytest.raises(InvariantError) as info:  # shape_check reads the closed form too
+            shape_check(a, 2)
+        assert str(info.value) == message
 
     def test_branch_recorded(self):
         dv = density_closed(elem(QQ, 2), 2)
@@ -194,17 +195,13 @@ class TestSeries:
             with pytest.raises(DomainError, match=f"valuation {n} too large for the series"):
                 density_series(elem(QQ, 2), 2, n)
 
-    def test_unstable_tail_names_n_layer_and_cells(self, monkeypatch):
+    def test_unstable_tail_names_n_layer_and_cells(self, monkeypatch, fresh_shape_caches):
         mod = importlib.import_module("ordens.density")
         monkeypatch.setattr(mod, "kummer_degree", lambda ell, m, n, *_: ell ** (m + n) * (m + 1))
         # the factor m + 1 keeps the cells off the 1/l**2 decay
-        mod.series_cells.cache_clear()  # other tests may have cached this shape already
-        try:
-            with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 for 2: "
-                                                     r"tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):
-                density_series(elem(QQ, 2), 2, 1)
-        finally:
-            mod.series_cells.cache_clear()  # drop the cells built from the fake degrees
+        with pytest.raises(InvariantError, match=r"n = 1 did not stabilize by layer 8 for 2: "
+                                                 r"tail -?\d+/\d+, -?\d+/\d+, -?\d+/\d+$"):
+            density_series(elem(QQ, 2), 2, 1)
 
 
 @st.composite
@@ -294,10 +291,10 @@ class TestSeriesCells:
     @given(series_inputs(), st.integers(0, 3))
     def test_cells_are_nonnegative_and_sum_to_the_density(self, item, n):
         a, ell = item
-        cells, den = series_cells(*cells_args(a, ell, n))
+        cells, den, value = series_cells(*cells_args(a, ell, n))
         assert min(cells) >= 0
         tail = Fraction(cells[-1], den * (ell * ell - 1))
-        assert Fraction(sum(cells), den) + tail == density(a, ell, n).value
+        assert Fraction(sum(cells), den) + tail == value.value == density(a, ell, n).value
 
 
 class TestClosedShapes:
@@ -310,9 +307,8 @@ class TestClosedShapes:
         density_closed(three, 2)
         assert _shape_closed.cache_info()[:2] == (2, 1)
 
-    def test_shape_check_reuses_the_closed_form(self):
+    def test_shape_check_reuses_the_closed_form(self, fresh_shape_caches):
         a = elem(RT3, 2)
-        _shape_closed.cache_clear()
         value = density(a, 3).value
         assert _shape_closed.cache_info()[:2] == (0, 1)
         assert shape_check(a, 3).value == value
@@ -323,6 +319,51 @@ class TestClosedShapes:
         # density(a, l, n >= 1) looks up the shapes of a**(l**n) and a**(l**(n-1))
         _shape_closed.cache_clear()
         assert [density(*it).value for it in parse_inputs(first, second)] == [F(v) for v in values]
+
+
+class TestShapeAnswers:
+    """density_series and shape_check compute their answers once per shape, and
+    their error texts are still worded per call, naming the input."""
+
+    def test_one_shape_gets_one_series_value_and_one_report(self, fresh_shape_caches):
+        three, five = elem(QQ, 3), elem(QQ, 5)
+        series, report = density_series(three, 2), shape_check(three, 2)
+        assert series_cells.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert _shape_report.cache_info()[:2] == (0, 1)
+        assert density_series(five, 2) is series
+        assert shape_check(five, 2) is report
+        assert series_cells.cache_info()[:2] == (1, 1)
+        assert _shape_report.cache_info()[:2] == (1, 1)
+
+    def test_a_failing_series_names_each_input(self, monkeypatch, fresh_shape_caches):
+        monkeypatch.setattr(importlib.import_module("ordens.density"), "kummer_degree",
+                            lambda ell, m, n, *_: ell ** (m + n) * (m + 1))
+        messages = []
+        for x in (3, 5):
+            with pytest.raises(InvariantError) as info:
+                density_series(elem(QQ, x), 2, 1)
+            messages.append(str(info.value))
+        assert series_cells.cache_info()[:2] == (1, 1)  # 5 read the cells of 3's shape
+        assert messages[0].startswith("series for n = 1 did not stabilize by layer 8 for 3: tail ")
+        assert messages[1] == messages[0].replace(" for 3: ", " for 5: ")
+
+    def test_a_violated_shape_names_each_input(self, monkeypatch, fresh_shape_caches):
+        monkeypatch.setattr(importlib.import_module("ordens.density"), "_closed",
+                            lambda *args: DensityValue(Fraction(1, 2), "closed_form", "wrong"))
+        for x in (2, 5):
+            with pytest.raises(ShapeViolation) as info:
+                shape_check(elem(RT3, x), 3)
+            assert str(info.value) == f"{x}: expected 5/8, computed 1/2"
+        assert _shape_report.cache_info()[:2] == (1, 1)  # 5 read the verdict of 2's shape
+
+    @pytest.mark.parametrize("first,second,changed,values",
+                             [case for case in KEY_FIELD_CASES if case[0][3] == case[1][3] == 0])
+    def test_each_key_field_separates_reports(self, fresh_shape_caches, first, second, changed,
+                                              values):
+        # the first input fills the cache, so a key too coarse to tell the two
+        # apart would hand the second input the first one's report
+        assert [shape_check(a, ell).value for a, ell, _ in parse_inputs(first, second)] == \
+            [F(v) for v in values]
 
 
 class TestShapes:
@@ -359,7 +400,8 @@ class TestShapes:
         ("Q(sqrt -3)", "8", 3, "8: 1/2 is not 1/(l^n(l+1)) or its complement"),
         ("Q(sqrt -1)", "2*i", 2, "2*sqrt(-1): 1/2 is not 1/(l^n(l+1)) or its complement"),
     ])
-    def test_wrong_closed_value_violates_the_shape(self, monkeypatch, ftext, atext, ell, message):
+    def test_wrong_closed_value_violates_the_shape(self, monkeypatch, fresh_shape_caches,
+                                                   ftext, atext, ell, message):
         a = parse_element(atext, parse_field(ftext))
         monkeypatch.setattr(importlib.import_module("ordens.density"), "_closed",
                             lambda *args: DensityValue(Fraction(1, 2), "closed_form", "wrong"))

@@ -1,9 +1,5 @@
-"""l-th roots over quadratic fields against exhaustive searches.
-
-The tests keep the names they had when these roots were read off the rational
-roots of a norm/trace resolvent; they now check lth_roots itself, over every
-small integral c and over rational l-th powers.
-"""
+"""l-th roots over quadratic fields against exhaustive searches: lth_roots over
+every small integral c and over rational l-th powers."""
 
 from __future__ import annotations
 
@@ -37,7 +33,7 @@ def _brute_force_powers(field, ell, reach):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_resolvent_family_exhaustive(ell):
+def test_every_small_integral_c(ell):
     """Every non-rational integral c = u + w*sqrt(d) with |u|, |w| <= _REACH."""
     found = 0
     for field in _FIELDS:
@@ -53,7 +49,7 @@ def test_resolvent_family_exhaustive(ell):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_resolvent_of_a_rational_c(ell):
+def test_roots_of_a_rational_c(ell):
     # c = s**l: the roots are s times the l-th roots of unity of the field
     for field in _FIELDS:
         mu = [z for z in unit_orders(field) if z ** ell == Element(field, 1)]
