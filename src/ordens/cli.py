@@ -12,10 +12,10 @@ parses --field and then --a, calls it, and prints its answer through _emit.
 The argument parser is built once per process, at the first main call rather
 than at import, and reused by every later call; a shell command calls main
 once, so this pays only where one interpreter calls main many times.  analyze
-caches its answer per (a, l), so the D(a, n) of one element in one process
-share its normal form and halving flag; the closed form, the series value and
-the shape-check verdict are cached per normal-form shape, so the elements of
-one shape share those too.
+caches its answer per (a, l) with the shape once per input, so the D(a, n) of
+one element in one process share its normal form, halving flag and shape; the
+closed form, the series value and the shape-check verdict are cached per
+normal-form shape, so the elements of one shape share those too.
 """
 
 from __future__ import annotations

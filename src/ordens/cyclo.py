@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 
 from .field import DomainError, Element, FieldSpec, _check_ell, _new
-from .roots import lth_roots, norm_roots
+from .roots import lth_roots
 
 
 class Tower(str, Enum):
@@ -90,11 +91,10 @@ def special_case_flag(field: FieldSpec, profile: CycloProfile, b: Element) -> bo
         raise DomainError("element does not belong to the given field")
     if profile.tower in (Tower.MINUS, Tower.I_ADJOINED):
         return False
-    if profile.tower is Tower.PLUS:
-        g = _new(field, 2, 1, 1)  # 2 + sqrt(2)
-    else:
-        g = _new(field, 2, 0, 1)
-    quot = b / g
-    if not norm_roots(quot, 2):  # N(+/-quot) = N(b)/N(g) is a square if +/-b is g*square
+    plus = profile.tower is Tower.PLUS  # g = 2 + sqrt(2) with N(g) = 2, else g = 2 with N(g) = 4
+    # N(+/-b/g) = n / (den * N(g))**2 is a rational square if +/-b is g times a square
+    n = (b.u * b.u - (field.d or 0) * b.w * b.w) * (2 if plus else 4)
+    if n < 0 or isqrt(n) ** 2 != n:
         return False
+    quot = b / _new(field, 2, int(plus), 1)
     return bool(lth_roots(quot, 2)) or bool(lth_roots(-quot, 2))

@@ -3,11 +3,12 @@
 Every density here is a function of the normal form a = b**(l**d) * xi
 (depth d, unit level r, halving flag of b) and the tower profile alone.
 density_closed evaluates the closed forms on that data.  They read a only
-through its shape (the normal form less base and unit, the profile and the
-halving flag), so each is computed once per shape per process and is exact
-for every a of that shape, as are the series value (per shape and n) and the
-shape_check verdict; error texts are worded per call and name the input.
-density reduces a prescribed valuation n >= 1 to two closed evaluations via
+through its shape (normal form less base and unit, profile, halving flag),
+and _analysis caches the shape once per input, next to the normal form.  Each
+form is computed once per shape per process and is exact for every a of that
+shape, as are the series value (per shape and n) and the shape_check verdict;
+error texts are worded per call and name the input.  density reduces a
+prescribed valuation n >= 1 to two closed evaluations via
 D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
 a**(l**k) is a's own shifted by k (Decomposition.shape, or for a root of
 unity xi the order of xi**(l**k)), so no power of a is built.
@@ -60,18 +61,22 @@ class DensityValue(namedtuple("DensityValue", "value method branch params")):
 
 
 @lru_cache(maxsize=4096)
-def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
-    """Normal form, tower profile and halving flag for one input.
-
-    Cached per (a, l), so the D(a, n) of every n share one halving-flag
-    search; the returned objects are immutable.
-    """
+def _analysis(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool,
+                                              Decomposition | None]:
+    """analyze's triple and a's shape (None for a root of unity), cached per (a, l): the
+    D(a, n) of every n share one halving-flag search, and the three n = 0 answers one shape."""
     prof = cyclo_profile(a.field, ell)
     dec = decompose(a, ell)
     special = False
     if ell == 2 and not prof.has_zeta4 and dec.case is not Case.ROOT_OF_UNITY:
         special = special_case_flag(a.field, prof, dec.base)
-    return dec, prof, special
+    shape = None if dec.case is Case.ROOT_OF_UNITY else dec.shape()
+    return dec, prof, special, shape
+
+
+def analyze(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool]:
+    """Normal form, tower profile and halving flag of one input, cached per (a, l), immutable."""
+    return _analysis(a, ell)[:3]
 
 
 def _zeta4_free_power(d: int, s: int, h: int) -> tuple[int, int]:
@@ -87,17 +92,20 @@ def density_closed(a: Element, ell: int) -> DensityValue:
     """D(a) = density of primes where the order of a is coprime to l."""
     if a.is_zero:
         raise DomainError("density of zero is undefined")
-    return _closed(*analyze(a, ell))
+    dec, prof, special, shape = _analysis(a, ell)
+    return _closed(dec, prof, special, 0, shape)
 
 
-def _closed(dec: Decomposition, prof: CycloProfile, special: bool, k: int = 0) -> DensityValue:
-    """The closed form of D(a**(l**k)) from a's normal form, profile and halving flag."""
+def _closed(dec: Decomposition, prof: CycloProfile, special: bool, k: int = 0,
+            shape: Decomposition | None = None) -> DensityValue:
+    """The closed form of D(a**(l**k)) from a's normal form, profile and halving flag;
+    shape is dec.shape(k) when the caller holds it."""
     if dec.case is Case.ROOT_OF_UNITY:
         order = unit_order(dec.unit)
         order //= dec.ell ** min(k, valuation(order, dec.ell))  # the order of unit**(l**k)
         value = Fraction(1) if order % dec.ell else Fraction(0)
         return DensityValue(value, "closed_form", "torsion", (("order", order),))
-    shape = dec.shape(k)
+    shape = shape or dec.shape(k)  # a Decomposition is a nonempty tuple
     try:
         return _shape_closed(shape, prof, special)
     except InvariantError as e:
@@ -173,7 +181,7 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
                           f"n * {ell.bit_length()} <= {MAX_VALUATION_BITS}")
     if n == 0:
         return density_closed(a, ell)
-    dec, prof, special = analyze(a, ell)
+    dec, prof, special, _ = _analysis(a, ell)
     hi = _closed(dec, prof, special, n)
     lo = _closed(dec, prof, special, n - 1)
     return DensityValue(hi.value - lo.value, "closed_form", "valuation-difference",
@@ -234,8 +242,8 @@ def density_series(a: Element, ell: int, n: int = 0) -> DensityValue:
         raise DomainError("series evaluation expects a non-torsion element")
     if n < 0:
         raise DomainError("valuation must be nonnegative")
-    dec, prof, special = analyze(a, ell)
-    cells, den, value = series_cells(dec.shape(), prof, special, n)
+    _, prof, special, shape = _analysis(a, ell)
+    cells, den, value = series_cells(shape, prof, special, n)
     if value is None:
         raise InvariantError(
             f"series for n = {n} did not stabilize by layer {n + len(cells) - 1} for {a}: tail "
@@ -258,9 +266,9 @@ def shape_check(a: Element, ell: int) -> ShapeReport:
     """
     if a.is_zero or is_root_of_unity(a):
         raise DomainError("shape checks expect a non-torsion element")
-    dec, prof, special = analyze(a, ell)
+    dec, prof, special, shape = _analysis(a, ell)
     try:
-        report = _shape_report(dec.shape(), prof, special)
+        report = _shape_report(shape, prof, special)
     except InvariantError:
         _closed(dec, prof, special)  # words a negated-power disagreement with a's base
         raise
@@ -274,7 +282,7 @@ def _shape_report(shape: Decomposition, prof: CycloProfile, special: bool) -> Sh
     """shape_check's ShapeReport for a non-torsion shape, or why it is violated, keyed as
     _shape_closed is.  It checks _closed, so it is cached apart from _shape_closed."""
     ell = shape.ell
-    got = _closed(shape, prof, special).value
+    got = _closed(shape, prof, special, 0, shape).value
     p, q = got.numerator, got.denominator
     if ell != 2 and not prof.has_zeta_ell and prof.stall == 1:
         # got == 1 - num/den, cross-multiplied

@@ -334,6 +334,11 @@ def _coordinate_bits(e: Element) -> int:
                for n in (e.u, e.w) for g in (gcd(n, e.den),))
 
 
+def _check_size(e: Element, what: str) -> None:  # the raw triple bounds the coordinates
+    if max(e.u.bit_length(), e.w.bit_length(), e.den.bit_length()) > MAX_COORDINATE_BITS:
+        _check_bits(_coordinate_bits(e), what)  # so the gcds run only over the limit
+
+
 def _check_bits(bits: int, what: str, least: str = "") -> None:
     if bits > MAX_COORDINATE_BITS:
         raise DomainError(f"{what} needs {least}{bits} bits per coordinate, "
@@ -341,30 +346,33 @@ def _check_bits(bits: int, what: str, least: str = "") -> None:
 
 
 def _rat(text: str) -> tuple[int, int]:
-    num, _, den = "".join(text.split()).partition("/")
+    # every character str.split splits on but ' ' is unprintable, so most tokens skip the join
+    bare = text if " " not in text and text.isprintable() else "".join(text.split())
+    num, _, den = bare.partition("/")
     if den and not int(den):
         raise ParseError(f"zero denominator in {text.strip()!r}")
     return int(num), int(den or 1)
 
 
 def _atom(m: re.Match, field: FieldSpec) -> Element:
-    if m["unit"] == "i":
+    unit, xt, yt, dt = m.group("unit", "x", "y", "d")
+    if unit == "i":
         if field.d != -1:
             raise ParseError("'i' is only valid over Q(sqrt -1)")
         return _new(field, 0, 1, 1)
-    if m["unit"]:
+    if unit:
         if field.d != -3:
             raise ParseError("'zeta3' is only valid over Q(sqrt -3)")
         return _new(field, -1, 1, 2)
-    x, xd = _rat(m["x"])
-    if m["d"] is None:
+    x, xd = _rat(xt)
+    if dt is None:
         return _make(field, x, 0, xd)
-    d = int("".join(m["d"].split()))
+    d = int("".join(dt.split()))
     if d != field.d:
         raise ParseError(f"sqrt({d}) does not live in {field}")
-    if not m["y"]:
+    if not yt:
         return _make(field, 0, x, xd)
-    y, yd = _rat(m["y"])
+    y, yd = _rat(yt)
     return _make(field, x * yd, y * xd, xd * yd)
 
 
@@ -412,10 +420,10 @@ def parse_element(text: str, field: FieldSpec) -> Element:
             else:
                 _check_bits(k * (bits - 1) + 1, f"a power to the exponent {k}", "at least ")
             a = a ** k
-        _check_bits(_coordinate_bits(a), "a term")
+        _check_size(a, "a term")
         if e is not None:
             a = e * a
-            _check_bits(_coordinate_bits(a), "the product")
+            _check_size(a, "the product")
         e, pos, end = a, m.end(), m["end"]
     if end is None:
         raise ParseError(f"unexpected text at {text[pos:]!r}")

@@ -29,8 +29,8 @@ from building an exact power of about l times its size, and every returned
 root is verified by exact exponentiation.
 A rational c needs no lift: its roots are rational or rational multiples of
 sqrt(d) at l = 2, and its rational l-th root times mu_l(K) at odd l.
-Norm tests (lth_roots, decompose's depth-0 return, the halving-flag pretest in
-cyclo) go through norm_roots, which reads N(c) from the ints (u, w, den).
+Norm tests (lth_roots, decompose's depth-0 return) go through norm_roots, which
+reads N(c) from the ints (u, w, den), as the halving-flag pretest in cyclo does.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def unit_orders(field: FieldSpec) -> dict[Element, int]:
 
 
 def is_root_of_unity(e: Element) -> bool:
-    return e in unit_orders(e.field)
+    # every root of unity has den <= 2 and |u| <= 1, so the lookup is skipped for the rest
+    return e.den <= 2 and -1 <= e.u <= 1 and e in unit_orders(e.field)
 
 
 def unit_order(e: Element) -> int:
@@ -219,15 +220,18 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
     def shape(self, k: int = 0) -> Decomposition:
         """The normal form of element ** (ell ** k) less base and unit, non-torsion: all the
         closed forms and series read.  The base (so the halving flag) is unchanged, the
-        depth grows by k and the unit level falls to max(0, unit_level - k)."""
+        depth grows by k and the unit level falls to max(0, unit_level - k).  Equal shapes
+        are one object (_shapes), whichever input or per-shape cache holds them."""
         level = max(0, self.unit_level - k)
-        return Decomposition(self.ell, Case.POWER if level == 0 else self.case, self.depth + k,
-                             None, None, level)
+        return _shapes(self.ell, Case.POWER if level == 0 else self.case, self.depth + k, level)
 
     def recompose(self) -> Element:
         if self.case is Case.ROOT_OF_UNITY:
             return self.unit
         return self.base ** (self.ell ** self.depth) * self.unit
+
+
+_shapes = lru_cache(4096)(lambda ell, case, d, r: Decomposition(ell, case, d, None, None, r))
 
 
 def _round_trip(dec: Decomposition, a: Element) -> Decomposition:

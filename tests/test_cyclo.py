@@ -127,18 +127,25 @@ class TestSpecialCaseFlag:
                 assert special_case_flag(field, prof, b * c * c) == want
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([QQ, RT2, RT3, FieldSpec(5), FieldSpec(-3), FieldSpec(17)]), st.booleans(),
-       st.sampled_from([1, -1]), st.fractions(-30, 30, max_denominator=9),
-       st.fractions(-30, 30, max_denominator=9))
-def test_norm_pretest_changes_no_flag(field, square, sign, x, y):
-    """special_case_flag returns False early when N(b/g) is not a rational square; its
-    answer must equal that of the two square-root searches it skips."""
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, RT2, RT3, FieldSpec(5), FieldSpec(-3), FieldSpec(17), FieldSpec(-2),
+                        FieldSpec(6)]),
+       st.sampled_from(["random", "g*square", "g*norm", "g*norm-one"]), st.sampled_from([1, -1]),
+       st.fractions(-40, 40, max_denominator=12), st.fractions(-40, 40, max_denominator=12))
+def test_norm_pretest_changes_no_flag(field, kind, sign, x, y):
+    """special_case_flag returns False early when N(b/g) is not a rational square, tested on
+    b's ints before it divides; its answer must equal that of the two square-root searches
+    it skips, g = 2 + sqrt(2) on the plus tower and g = 2 elsewhere.  The kinds make b/g a
+    square, a rational (N(c)) or of norm one (c/conj(c)), so many draws pass the pretest."""
     prof = cyclo_profile(field, 2)
     g = elem(field, 2, 1) if prof.tower is Tower.PLUS else elem(field, 2)
     c = elem(field, x, 0 if field.is_rational else y)
     assume(not c.is_zero)
-    b = elem(field, sign) * g * c * c if square else c
-    want = bool(lth_roots(b / g, 2)) or bool(lth_roots(-(b / g), 2))
-    assert want or not square
+    t = {"random": c, "g*square": c * c, "g*norm": c * c.conjugate(),
+         "g*norm-one": c / c.conjugate()}[kind]
+    b = t if kind == "random" else elem(field, sign) * g * t
+    want = bool(lth_roots(b / g, 2)) or bool(lth_roots(-b / g, 2))
+    assert want or kind != "g*square"
+    if prof.tower is Tower.MINUS:  # Q(sqrt -2) meets the tower in Q(zeta_8) itself: never special
+        want = False
     assert special_case_flag(field, prof, b) == want

@@ -156,7 +156,7 @@ class TestValuationReduction:
             return real(*args)
 
         monkeypatch.setattr(mod, "special_case_flag", counting)
-        mod.analyze.cache_clear()  # other tests may have cached this (a, l) already
+        mod._analysis.cache_clear()  # other tests may have cached this (a, l) already
         a = elem(RT3, 7919, -104729)
         values = [density(a, 2, n).value for n in range(9)]
         assert len(calls) == 1
@@ -364,6 +364,60 @@ class TestShapeAnswers:
         # apart would hand the second input the first one's report
         assert [shape_check(a, ell).value for a, ell, _ in parse_inputs(first, second)] == \
             [F(v) for v in values]
+
+
+# (function, a, l, n or None, the parent's error text): the zero test comes first,
+# then the torsion test of density_series and shape_check, then n, then the l check
+ERROR_PRECEDENCE = [
+    (density_closed, -1, 4, None, "l must be prime, got 4"),
+    (density_closed, -1, 2 ** 21, None, "l must be below 2**20, got a 22-bit number"),
+    (density_closed, 0, 4, None, "density of zero is undefined"),
+    (density_closed, 0, 2 ** 21, None, "density of zero is undefined"),
+    (density_series, -1, 4, None, "series evaluation expects a non-torsion element"),
+    (density_series, -1, 2 ** 21, None, "series evaluation expects a non-torsion element"),
+    (density_series, 0, 4, None, "density of zero is undefined"),
+    (density_series, 0, 2 ** 21, None, "density of zero is undefined"),
+    (density_series, -1, 2, -1, "series evaluation expects a non-torsion element"),
+    (density_series, 0, 4, -1, "density of zero is undefined"),
+    (density_series, 3, 4, -1, "valuation must be nonnegative"),
+    (shape_check, -1, 4, None, "shape checks expect a non-torsion element"),
+    (shape_check, -1, 2 ** 21, None, "shape checks expect a non-torsion element"),
+    (shape_check, 0, 4, None, "shape checks expect a non-torsion element"),
+    (shape_check, 0, 2 ** 21, None, "shape checks expect a non-torsion element"),
+]
+
+
+@pytest.mark.parametrize("func,x,ell,n,message", ERROR_PRECEDENCE,
+                         ids=[f"{f.__name__}({x},{l},{n})" for f, x, l, n, _ in ERROR_PRECEDENCE])
+def test_error_precedence(func, x, ell, n, message):
+    args = (elem(QQ, x), ell) + (() if n is None else (n,))
+    with pytest.raises(DomainError) as info:
+        func(*args)
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_one_input_builds_one_shape(monkeypatch, fresh_shape_caches):
+    # the three n = 0 answers read the shape the per-input cache holds
+    built = []
+    real = ordens.Decomposition.shape
+
+    def counting(self, k=0):
+        built.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(ordens.Decomposition, "shape", counting)
+    analysis = importlib.import_module("ordens.density")._analysis
+    analysis.cache_clear()
+    for field, x, ell in [(RT3, 2, 3), (QQ, -4, 2), (GAUSS, 9, 2), (EISEN, 8, 3)]:
+        a = elem(field, x)
+        built.clear()
+        density(a, ell, 0), density_series(a, ell), shape_check(a, ell)
+        assert len(built) <= 1
+        built.clear()
+        density(a, ell, 0), density_series(a, ell), shape_check(a, ell)
+        assert built == []
+    # inputs of one shape hold one shape object, so per-input memory stays flat
+    assert analysis(elem(QQ, 3), 2)[3] is analysis(elem(QQ, 5), 2)[3]
 
 
 class TestShapes:

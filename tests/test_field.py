@@ -6,6 +6,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -583,6 +584,99 @@ class TestGrammarProperties:
             parse_element("".join(toks), field)
         except (ParseError, DomainError):
             pass
+
+
+# every character str.split splits on (none lies past U+3000)
+_ALL_BLANKS = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+def _rat_always_joined(text):
+    """field._rat without its blank-free shortcut: the reference the shortcut must match."""
+    num, _, den = "".join(text.split()).partition("/")
+    if den and not int(den):
+        raise ParseError(f"zero denominator in {text.strip()!r}")
+    return int(num), int(den or 1)
+
+
+def _outcome(text, field):
+    try:
+        return parse_element(text, field)
+    except (ParseError, DomainError) as e:
+        return type(e), str(e)
+
+
+class TestBlankFreeFastPath:
+    """_rat skips the join of blank-free tokens, and the size checks of a term and a
+    product run the gcds only when the raw triple is over MAX_COORDINATE_BITS."""
+
+    def test_blanks_cover_str_split_and_only_space_is_printable(self):
+        named = "\t\n\r\f\v\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000 "
+        assert set(named) <= set(_ALL_BLANKS)
+        assert all(not b.isprintable() for b in _ALL_BLANKS if b != " ")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(element_texts(), st.sampled_from(_ALL_BLANKS), st.data())
+    def test_blank_laden_texts_parse_like_their_blank_free_twins(self, item, blank, data):
+        field, toks, value = item
+        bare = "".join(t for t in toks if not t.isspace())
+        laden = "".join(blank if t.isspace() else t for t in toks)
+        mutated = list(toks)
+        mutated[data.draw(st.integers(0, len(toks) - 1))] = data.draw(st.sampled_from(_MUTANTS))
+        texts = [bare, laden, "".join(t for t in mutated if not t.isspace()),
+                 "".join(blank if t.isspace() else t for t in mutated)]
+        got = [_outcome(t, field) for t in texts]
+        assert got[0] == got[1] == value
+        # a mutant can merge two tokens in the blank-free text, so its twin may differ; each
+        # text, mutant or not, must give what the always-joining _rat gives, error text and all
+        rat = ordens.field._rat
+        try:
+            ordens.field._rat = _rat_always_joined
+            assert [_outcome(t, field) for t in texts] == got
+        finally:
+            ordens.field._rat = rat
+
+    @pytest.mark.parametrize("blank", _ALL_BLANKS, ids=[f"U+{ord(b):04X}" for b in _ALL_BLANKS])
+    def test_each_blank_inside_every_token(self, blank):
+        z3 = FieldSpec(-3)
+        text = "-37/19+39/16*sqrt(-3)*zeta3^2"
+        laden = blank.join(["", "-", "37", "/", "19", "+", "39", "/", "16", "*", "sqrt", "(", "-",
+                            "3", ")", "*", "zeta3", "^", "2", ""])
+        assert parse_element(laden, z3) == parse_element(text, z3)
+        zero = "1" + blank + "/" + blank + "0"  # _rat quotes its token with the blanks kept
+        for toks, error, message in [
+                (["1", "/", "0"], ParseError, f"zero denominator in {zero!r}"),
+                (["1", "*", "sqrt", "(", "5", ")"], ParseError, "sqrt(5) does not live in Q"),
+                (["2", "^", "5000", "*", "x"], DomainError,
+                 "a power to the exponent 5000 needs at least 5001 bits per coordinate")]:
+            with pytest.raises(error) as info:
+                parse_element(blank.join(["", *toks, ""]), QQ)
+            assert str(info.value).startswith(message)
+            with pytest.raises(error):
+                parse_element("".join(toks), QQ)
+
+    def test_first_fault_in_reading_order_wins_with_blanks(self):
+        for blank in ("", " ", "\u3000"):
+            with pytest.raises(ParseError):
+                parse_element(f"x{blank}*{blank}2^5000", QQ)
+            with pytest.raises(DomainError, match="exponent 5000"):
+                parse_element(f"2^5000{blank}*{blank}x", QQ)
+
+    def test_product_just_over_the_limit(self):
+        assert parse_element("2^4000*2^95", QQ) == elem(QQ, 2 ** 4095)
+        with pytest.raises(DomainError, match="the product needs 4097 bits per coordinate, "
+                                              f"over the limit of {MAX_COORDINATE_BITS}"):
+            parse_element("2^4000*2^96", QQ)
+        with pytest.raises(DomainError, match="the product needs 4097 bits"):
+            parse_element("-1/2^4000*1/2^96", QQ)
+
+    def test_raw_triple_over_the_limit_with_coordinates_under_it(self):
+        # 1/3**2000 + sqrt(5)/2**3000 is held over den 2**3000 * 3**2000, 6,170 bits, but
+        # its coordinates have at most 3,171, so the exact check lets term and product pass
+        f5, n, m = FieldSpec(5), 3 ** 2000, 2 ** 3000
+        want = elem(f5, Fraction(1, n), Fraction(1, m))
+        assert want.den.bit_length() > MAX_COORDINATE_BITS >= _coordinate_bits(want)
+        assert parse_element(f"1/{n}+1/{m}*sqrt(5)", f5) == want
+        assert parse_element(f"1/{n}+1/{m}*sqrt(5)*1", f5) == want
 
 
 # (num, den) with a common factor, so many texts are unreduced fractions like '6/4'

@@ -79,6 +79,22 @@ class TestRootsOfUnity:
             unit_order(elem(QQ, 2))
 
 
+@pytest.mark.parametrize("field", [QQ, GAUSS, EISEN], ids=str)
+def test_every_root_of_unity_passes_the_size_pretest(field):
+    # is_root_of_unity rejects den > 2 and |u| > 1 before the table lookup
+    for xi in unit_orders(field):
+        assert xi.den <= 2 and -1 <= xi.u <= 1 and is_root_of_unity(xi)
+        assert not any(is_root_of_unity(xi * elem(field, q)) for q in (2, Fraction(1, 3), -3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, GAUSS, EISEN, FieldSpec(2), FieldSpec(-7)]),
+       st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4))
+def test_is_root_of_unity_agrees_with_the_unit_table(field, x, y):
+    e = elem(field, x, 0 if field.is_rational else y)
+    assert is_root_of_unity(e) == (e in unit_orders(field))
+
+
 class TestLthRoots:
     def test_square_roots_of_minus_nine_gaussian(self):
         got = lth_roots(elem(GAUSS, -9), 2)
