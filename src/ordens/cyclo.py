@@ -29,6 +29,9 @@ class Tower(str, Enum):
     I_ADJOINED = "i_adjoined"  # Q(i)
 
 
+_TRIVIAL, _PLUS, _MINUS, _I_ADJOINED = Tower  # bound once: each Tower.X is a slow lookup
+
+
 class CycloProfile(namedtuple("CycloProfile",
                               "ell has_zeta_ell has_zeta4 degree stall zeta4_stall tower")):
     """Degrees and stall levels of K(zeta_{l^m}) over K.
@@ -57,8 +60,8 @@ def cyclo_profile(field: FieldSpec, ell: int) -> CycloProfile:
             degree = (ell - 1) // 2 if d == ell_star else ell - 1
         return CycloProfile(ell, has_zeta, None, degree, 1, None, None)
     if d == -1:
-        return CycloProfile(2, True, True, 1, 2, None, Tower.I_ADJOINED)
-    tower = Tower.PLUS if d == 2 else Tower.MINUS if d == -2 else Tower.TRIVIAL
+        return CycloProfile(2, True, True, 1, 2, None, _I_ADJOINED)
+    tower = _PLUS if d == 2 else _MINUS if d == -2 else _TRIVIAL
     s = 3 if d in (2, -2) else 2
     return CycloProfile(2, True, False, 1, 1, s, tower)
 
@@ -89,9 +92,9 @@ def special_case_flag(field: FieldSpec, profile: CycloProfile, b: Element) -> bo
         raise DomainError("special case is defined only for l = 2 with i not in K")
     if b.field != field:
         raise DomainError("element does not belong to the given field")
-    if profile.tower in (Tower.MINUS, Tower.I_ADJOINED):
+    if profile.tower in (_MINUS, _I_ADJOINED):
         return False
-    plus = profile.tower is Tower.PLUS  # g = 2 + sqrt(2) with N(g) = 2, else g = 2 with N(g) = 4
+    plus = profile.tower is _PLUS  # g = 2 + sqrt(2) with N(g) = 2, else g = 2 with N(g) = 4
     # N(+/-b/g) = n / (den * N(g))**2 is a rational square if +/-b is g times a square
     n = (b.u * b.u - (field.d or 0) * b.w * b.w) * (2 if plus else 4)
     if n < 0 or isqrt(n) ** 2 != n:

@@ -37,7 +37,8 @@ from operator import sub
 from .cyclo import CycloProfile, cyclo_profile, special_case_flag
 from .field import DomainError, Element, InvariantError, valuation
 from .kummer import MAX_VALUATION_BITS, kummer_degree
-from .roots import Case, Decomposition, decompose, is_root_of_unity, unit_order
+from .roots import (_POWER, _POWER_TIMES_UNIT, _ROOT_OF_UNITY, Decomposition, decompose,
+                    is_root_of_unity, unit_order)
 
 
 class ShapeViolation(InvariantError):
@@ -68,9 +69,9 @@ def _analysis(a: Element, ell: int) -> tuple[Decomposition, CycloProfile, bool,
     prof = cyclo_profile(a.field, ell)
     dec = decompose(a, ell)
     special = False
-    if ell == 2 and not prof.has_zeta4 and dec.case is not Case.ROOT_OF_UNITY:
+    if ell == 2 and not prof.has_zeta4 and dec.case is not _ROOT_OF_UNITY:
         special = special_case_flag(a.field, prof, dec.base)
-    shape = None if dec.case is Case.ROOT_OF_UNITY else dec.shape()
+    shape = None if dec.case is _ROOT_OF_UNITY else dec.shape()
     return dec, prof, special, shape
 
 
@@ -100,7 +101,7 @@ def _closed(dec: Decomposition, prof: CycloProfile, special: bool, k: int = 0,
             shape: Decomposition | None = None) -> DensityValue:
     """The closed form of D(a**(l**k)) from a's normal form, profile and halving flag;
     shape is dec.shape(k) when the caller holds it."""
-    if dec.case is Case.ROOT_OF_UNITY:
+    if dec.case is _ROOT_OF_UNITY:
         order = unit_order(dec.unit)
         order //= dec.ell ** min(k, valuation(order, dec.ell))  # the order of unit**(l**k)
         value = Fraction(1) if order % dec.ell else Fraction(0)
@@ -128,7 +129,7 @@ def _shape_closed(shape: Decomposition, prof: CycloProfile, special: bool) -> De
     d, r, t = shape.depth, shape.unit_level, prof.stall
 
     if ell != 2 or prof.has_zeta4:
-        if shape.case is Case.POWER_TIMES_UNIT:
+        if shape.case is _POWER_TIMES_UNIT:
             e = t - d - 2 * r + 1  # l/(l+1) * l**(t-d-2r)
             value = Fraction(ell ** max(e, 0), (ell + 1) * ell ** max(-e, 0))
             return DensityValue(value, "closed_form", "zeta-present/power-unit",
@@ -150,7 +151,7 @@ def _shape_closed(shape: Decomposition, prof: CycloProfile, special: bool) -> De
     s, h = prof.zeta4_stall, int(special)  # eps = 2**-h
     params = (("d", d), ("s", s), ("eps", Fraction(1, 2 ** h)))
     num, den = _zeta4_free_power(d, s, h)
-    if shape.case is Case.POWER:
+    if shape.case is _POWER:
         return DensityValue(Fraction(num, den), "closed_form", "zeta4-absent/power", params)
     # a = -b**(2**d), d > 0: derive from minus = num/den, the density of -a, and
     # check the equivalent closed form, so both printed shapes guard each other.

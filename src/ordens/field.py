@@ -6,6 +6,7 @@ Arithmetic is exact and multiplicative (products, quotients, powers, negation,
 conjugation); floats serve only cli._approx's display and _int_nth_root's guess.
 _mul and _pow are the one kernel for x + y*sqrt(d) in (Z/m)[sqrt d], held as pairs
 (x, y): roots._lift lifts l-th roots with it, and scan powers its inert slots.
+Element.__pow__ runs _pow's square-and-multiply on (u, w) and normalises the triple once.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class Element:
                 and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash((self.field.d or 0, self.u, self.w, self.den))
+        return hash((self.u, self.w, self.den))
 
     def _coerce(self, other: object) -> Element:
         if type(other) is not Element:
@@ -163,15 +164,14 @@ class Element:
             return self
         if k < 0:
             return (_new(self.field, 1, 0, 1) / self) ** -k
-        acc = _new(self.field, 1, 0, 1)
-        base = self
-        while k:
+        d, x, y, rx, ry, den = self.field.d or 0, self.u, self.w, 1, 0, self.den ** k
+        while k:  # _pow without the modulus; _make reduces the triple once, at the end
             if k & 1:
-                acc = acc * base
+                rx, ry = rx * x + d * ry * y, rx * y + ry * x
             k >>= 1
             if k:
-                base = base * base
-        return acc
+                x, y = x * x + d * y * y, 2 * x * y
+        return _make(self.field, rx, ry, den)
 
     def conjugate(self) -> Element:
         return _new(self.field, self.u, -self.w, self.den)

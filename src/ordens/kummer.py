@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .cyclo import CycloProfile, cyclotomic_degree
 from .field import DomainError
-from .roots import Case, Decomposition
+from .roots import _POWER, _ROOT_OF_UNITY, Decomposition
 
 # D(a, n) has a denominator of about n*log2(l) bits, and Python refuses to
 # print an int of more than 4,300 digits (about 14,000 bits).  Capping
@@ -63,7 +63,7 @@ def kummer_degree(ell: int, m: int, n: int, dec: Decomposition, prof: CycloProfi
 
     s = prof.zeta4_stall
     minus = 2 ** max(0, n - d - (special and m > s))  # the plain-power degree
-    if dec.case is Case.POWER:
+    if dec.case is _POWER:
         return cyc * minus
     # a = -b**(2**d) with d > 0: compare with the degree for -a
     if m == n == 1:
@@ -77,6 +77,6 @@ def kummer_degree(ell: int, m: int, n: int, dec: Decomposition, prof: CycloProfi
 
 def total_degree(q: KummerQuery) -> int:
     """[K(zeta_{l^m}, a**(1/l**n)) : K]."""
-    if q.decomp.case is Case.ROOT_OF_UNITY:
+    if q.decomp.case is _ROOT_OF_UNITY:
         raise DomainError("root-of-unity inputs have no Kummer normal form")
     return kummer_degree(*q)

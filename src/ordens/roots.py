@@ -205,6 +205,9 @@ class Case(str, Enum):
     ROOT_OF_UNITY = "root_of_unity"
 
 
+_POWER, _POWER_TIMES_UNIT, _ROOT_OF_UNITY = Case  # bound once: each Case.X is a slow lookup
+
+
 class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_level")):
     """Normal form element == base ** (ell ** depth) * unit.
 
@@ -223,12 +226,15 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
         depth grows by k and the unit level falls to max(0, unit_level - k).  Equal shapes
         are one object (_shapes), whichever input or per-shape cache holds them."""
         level = max(0, self.unit_level - k)
-        return _shapes(self.ell, Case.POWER if level == 0 else self.case, self.depth + k, level)
+        return _shapes(self.ell, _POWER if level == 0 else self.case, self.depth + k, level)
 
     def recompose(self) -> Element:
-        if self.case is Case.ROOT_OF_UNITY:
+        """The element this form stands for: base ** (ell ** depth) times the unit, which
+        is 1 for a plain power and so not multiplied in; a root of unity is its unit."""
+        if self.case is _ROOT_OF_UNITY:
             return self.unit
-        return self.base ** (self.ell ** self.depth) * self.unit
+        power = self.base ** (self.ell ** self.depth)
+        return power if self.case is _POWER else power * self.unit
 
 
 _shapes = lru_cache(4096)(lambda ell, case, d, r: Decomposition(ell, case, d, None, None, r))
@@ -262,9 +268,9 @@ def decompose(a: Element, ell: int) -> Decomposition:
     if a.is_zero:
         raise DomainError("cannot decompose zero")
     if not norm_roots(a, ell):  # so a is no root of unity either: those have norm 1
-        return _round_trip(Decomposition(ell, Case.POWER, 0, a, _new(a.field, 1, 0, 1), 0), a)
+        return _round_trip(Decomposition(ell, _POWER, 0, a, _new(a.field, 1, 0, 1), 0), a)
     if is_root_of_unity(a):
-        return Decomposition(ell, Case.ROOT_OF_UNITY, 0, None, a, 0)
+        return Decomposition(ell, _ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)
     orders = unit_orders(a.field)
     # mu[0] is the unit 1 (roots_of_unity lists it first), whose twist is a itself
@@ -293,5 +299,5 @@ def decompose(a: Element, ell: int) -> Decomposition:
     else:  # (x, y) over the common denominator m
         m = lcm(*(e.den for e in cands))
         base = max(cands, key=lambda e: (e.u * (m // e.den), e.w * (m // e.den)))
-    case = Case.POWER if orders[xi] == 1 else Case.POWER_TIMES_UNIT
+    case = _POWER if orders[xi] == 1 else _POWER_TIMES_UNIT
     return _round_trip(Decomposition(ell, case, depth, base, xi, valuation(orders[xi], ell)), a)

@@ -443,6 +443,15 @@ class TestDecompose:
         assert dec.base == parse_element(base, field)
         assert dec.unit == parse_element(unit, field)
 
+    # Only a power times a unit other than 1 multiplies the unit in; a plain power's unit is 1
+    @pytest.mark.parametrize("field,text,ell", [(GAUSS, "-9*i", 2), (EISEN, "zeta3*2^9", 3)])
+    def test_recompose_multiplies_in_a_unit_other_than_one(self, field, text, ell):
+        a = parse_element(text, field)
+        dec = decompose(a, ell)
+        assert dec.case is Case.POWER_TIMES_UNIT
+        assert dec.recompose() == a
+        assert dec.base ** (ell ** dec.depth) != a
+
     def test_root_of_unity_short_circuits(self):
         dec = decompose(elem(GAUSS, 0, -1), 2)
         assert dec.case is Case.ROOT_OF_UNITY
