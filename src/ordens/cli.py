@@ -9,13 +9,13 @@ Each subparser registers its command as args.run.  A command takes (args, a),
 a being the parsed --a or None, and returns (code, lines, payload[, rows]); main
 parses --field and then --a, calls it, and prints its answer through _emit.
 
-The argument parser is built once per process, at the first main call rather
-than at import, and reused by every later call; a shell command calls main
-once, so this pays only where one interpreter calls main many times.  analyze
-caches its answer per (a, l) with the shape once per input, so the D(a, n) of
-one element in one process share its normal form, halving flag and shape; the
-closed form, the series value and the shape-check verdict are cached per
-normal-form shape, so the elements of one shape share those too.
+The argument parser (built at the first main call), the element of each
+(--field, --a) text pair and the JSON encoder are made once per process; a
+shell command calls main once, so they pay only where one interpreter calls
+main many times.  analyze caches its answer per (a, l), so the D(a, n) of one
+element share its normal form, halving flag and shape; the closed form, D(a, n)
+for n >= 1, the series value and the shape-check verdict are cached per
+normal-form shape (and n), so the elements of one shape share those too.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .roots import Case, decompose
 from .scan import empirical_density
 
 CSV_HEADER = ["field", "a", "ell", "n", "exact", "empirical", "abs_error"]
+_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds per call
 
 
 def _approx(q: Fraction) -> str:
@@ -109,7 +110,7 @@ def _emit(out, fmt: str, lines: list[str], payload: dict,
     command without csv rows prints its plain lines for --format csv.
     """
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True), file=out)
+        print(_JSON.encode(payload), file=out)
     elif fmt == "csv" and rows is not None:
         w = csv.writer(out)
         w.writerow(CSV_HEADER)
@@ -225,6 +226,10 @@ def _cmd_selfcheck(args, a) -> tuple:
     return 0 if passed else 4, lines, {"tables": counts, "series": checks, "passed": passed}
 
 
+# --a parsed over --field per text pair; lru_cache keeps no failure, so bad text raises each call
+_element = lru_cache(4096)(lambda field_text, text: parse_element(text, parse_field(field_text)))
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):  # argparse reads text like -2/3 as an option
@@ -234,7 +239,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if "ell" in args:
             _check_ell(args.ell, "--ell")
-        a = parse_element(args.a, parse_field(args.field)) if "a" in args else None
+        a = _element(args.field, args.a) if "a" in args else None
         code, *answer = args.run(args, a)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,10 @@ and _analysis caches the shape once per input, next to the normal form.  Each
 form is computed once per shape per process and is exact for every a of that
 shape, as are the series value (per shape and n) and the shape_check verdict;
 error texts are worded per call and name the input.  density reduces a
-prescribed valuation n >= 1 to two closed evaluations via
-D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0), where the normal form of
-a**(l**k) is a's own shifted by k (Decomposition.shape, or for a root of
-unity xi the order of xi**(l**k)), so no power of a is built.
+prescribed valuation n >= 1 to D(a, n) = D(a**(l**n), 0) - D(a**(l**(n-1)), 0),
+cached per shape and n for a non-torsion a; the normal form of a**(l**k) is
+a's own shifted by k (Decomposition.shape, or for a root of unity xi the order
+of xi**(l**k)), so no power of a is built.
 density_series re-derives D(a, n) independently from the paper's joint law
 for (v, k), v = v_l(Np - 1) and k the l-valuation of the order of a mod p:
 with T(m, j) = [K(zeta_{l^m}, a**(1/l**j)) : K] from kummer.kummer_degree,
@@ -182,11 +182,24 @@ def density(a: Element, ell: int, n: int = 0) -> DensityValue:
                           f"n * {ell.bit_length()} <= {MAX_VALUATION_BITS}")
     if n == 0:
         return density_closed(a, ell)
-    dec, prof, special, _ = _analysis(a, ell)
+    dec, prof, special, shape = _analysis(a, ell)
+    if shape is not None:
+        try:
+            return _shape_density(shape, prof, special, n)
+        except InvariantError:
+            pass  # the uncached call below words a negated-power disagreement with a's base
+    return _difference(dec, prof, special, n)
+
+
+def _difference(dec: Decomposition, prof: CycloProfile, special: bool, n: int) -> DensityValue:
+    """D(a, n), n >= 1, from a's normal form or, through _shape_density, its shape."""
     hi = _closed(dec, prof, special, n)
     lo = _closed(dec, prof, special, n - 1)
     return DensityValue(hi.value - lo.value, "closed_form", "valuation-difference",
                         (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
+
+
+_shape_density = lru_cache(maxsize=4096)(_difference)  # keyed as series_cells is
 
 
 @lru_cache(maxsize=4096)

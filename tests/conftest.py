@@ -78,7 +78,8 @@ def fresh_shape_caches():
     answers built from the fake one to later tests.
     """
     density = importlib.import_module("ordens.density")  # ordens.density is the function
-    caches = (density.series_cells, density._shape_closed, density._shape_report)
+    caches = (density.series_cells, density._shape_closed, density._shape_report,
+              density._shape_density)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -459,3 +459,39 @@ class TestSharedParser:
             entrypoint()
         assert exc.value.code == 0
         assert json.loads(capsys.readouterr().out)["exact"] == "7/24"
+
+
+class TestInProcessCaches:
+    """main keeps the parsed element and the JSON encoder between calls of one process."""
+
+    @pytest.mark.parametrize("field,a,want", [
+        ("Q", "2+", 2), ("Q", "1/0", 2), ("Q", "0", 3), ("Q", "2^100000", 3),
+        ("Q(sqrt", "2", 2), ("Q(sqrt 4)", "2", 3), ("Z", "2", 2),
+    ])
+    def test_bad_input_fails_the_same_way_twice(self, capsys, field, a, want):
+        runs = []
+        for _ in range(2):
+            code, out = run(["density", "--ell", "2", "--field", field, f"--a={a}"])
+            runs.append((code, out, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == want and runs[0][2].startswith("error: ")
+
+    def test_same_element_text_over_two_fields(self):
+        q = run(["decompose", "--ell", "2", "--field", "Q", "--a", "2"])
+        rt2 = run(["decompose", "--ell", "2", "--field", "Q(sqrt 2)", "--a", "2"])
+        assert q == (0, "case=power d=0 b=2 xi=1 r=0\n")
+        assert rt2 == (0, "case=power d=1 b=1*sqrt(2) xi=1 r=0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ell", "2", "--field", "Q(sqrt 3)", "--a", "-2", "--val", "2"],
+        ["kummer", "--ell", "2", "--field", "Q", "--a", "2", "--m", "3", "--n", "1"],
+        ["decompose", "--ell", "3", "--field", "Q(sqrt -3)", "--a", "8*zeta3"],
+        ["profile", "--ell", "2", "--field", "Q(sqrt 2)"],
+        ["scan", "--ell", "2", "--field", "Q", "--a", "3", "--bound", "3000", "--compare"],
+        ["tables", "--which", "2"],
+        ["selfcheck"],
+    ], ids=lambda argv: argv[0])
+    def test_json_is_sorted_dumps(self, argv):
+        for _ in range(2):
+            code, out = run(["--format", "json", *argv])
+            assert code == 0 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"

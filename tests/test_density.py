@@ -30,8 +30,10 @@ from ordens import (
     parse_field,
     shape_check,
 )
-from ordens.density import (MAX_VALUATION_BITS, ShapeViolation, _shape_closed, _shape_report,
-                            series_cells)
+from ordens.density import (MAX_VALUATION_BITS, ShapeViolation, _closed, _shape_closed,
+                            _shape_density, _shape_report, series_cells)
+from ordens.field import valuation
+from ordens.roots import unit_orders
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
@@ -108,6 +110,11 @@ class TestClosedForm:
         with pytest.raises(InvariantError) as info:  # shape_check reads the closed form too
             shape_check(a, 2)
         assert str(info.value) == message
+        for _ in range(2):  # so does D(a, 1), cached per shape and n
+            with pytest.raises(InvariantError) as info:
+                density(a, 2, 1)
+            assert str(info.value) == message
+        assert _shape_density.cache_info().currsize == 0
 
     def test_branch_recorded(self):
         dv = density_closed(elem(QQ, 2), 2)
@@ -161,6 +168,30 @@ class TestValuationReduction:
         values = [density(a, 2, n).value for n in range(9)]
         assert len(calls) == 1
         assert sum(values) < 1 and values[8] > 0
+
+
+class TestValuationCache:
+    def test_cached_difference_equals_the_uncached_one(self, corpus, fresh_shape_caches):
+        for a, ell in corpus:
+            dec, prof, special = ordens.analyze(a, ell)
+            for n in range(1, 41):
+                hi, lo = _closed(dec, prof, special, n), _closed(dec, prof, special, n - 1)
+                want = DensityValue(hi.value - lo.value, "closed_form", "valuation-difference",
+                                    (("n", n), ("plus", hi.branch), ("minus", lo.branch)))
+                got = density(a, ell, n)
+                assert got == want and type(got.value) is Fraction, (a, ell, n)
+                assert density(a, ell, n) is got
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_roots_of_unity_keep_the_torsion_answers(self, field, fresh_shape_caches):
+        for xi, order in unit_orders(field).items():
+            for ell in (2, 3):
+                for n in range(6):
+                    dv = density(xi, ell, n)
+                    assert dv.value == (1 if valuation(order, ell) == n else 0), (xi, ell, n)
+                    if n:
+                        assert dv.params[1:] == (("plus", "torsion"), ("minus", "torsion"))
+        assert _shape_density.cache_info().currsize == 0
 
 
 class TestSeries:
