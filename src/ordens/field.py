@@ -6,7 +6,7 @@ Arithmetic is exact and multiplicative (products, quotients, powers, negation,
 conjugation); floats serve only cli._approx's display and _int_nth_root's guess.
 _mul and _pow are the one kernel for x + y*sqrt(d) in (Z/m)[sqrt d], held as pairs
 (x, y): roots._lift lifts l-th roots with it, and scan powers its inert slots.
-Element.__pow__ runs _pow's loop on (u, w), halving each product for a half-integer.
+Element.__pow__ runs _pow's square-and-multiply on (u, w) and normalises the triple once.
 """
 
 from __future__ import annotations
@@ -164,24 +164,13 @@ class Element:
             return self
         if k < 0:
             return (_new(self.field, 1, 0, 1) / self) ** -k
-        d, x, y, den = self.field.d or 0, self.u, self.w, self.den
-        if den & 1 or not x & y & 1 or d & 3 != 1:
-            rx, ry, den = 1, 0, den ** k
-            while k:  # _pow without the modulus; _make reduces the triple once, at the end
-                if k & 1:
-                    rx, ry = rx * x + d * ry * y, rx * y + ry * x
-                k >>= 1
-                if k:
-                    x, y = x * x + d * y * y, 2 * x * y
-            return _make(self.field, rx, ry, den)
-        # x, y odd, d = 1 mod 4: a product of two pairs (x + y*sqrt(d))/2 is even, so halve it
-        rx, ry, den = 2, 0, (den >> 1) ** k << 1
-        while k:
+        d, x, y, rx, ry, den = self.field.d or 0, self.u, self.w, 1, 0, self.den ** k
+        while k:  # _pow without the modulus; _make reduces the triple once, at the end
             if k & 1:
-                rx, ry = rx * x + d * ry * y >> 1, rx * y + ry * x >> 1
+                rx, ry = rx * x + d * ry * y, rx * y + ry * x
             k >>= 1
             if k:
-                x, y = x * x + d * y * y >> 1, x * y
+                x, y = x * x + d * y * y, 2 * x * y
         return _make(self.field, rx, ry, den)
 
     def conjugate(self) -> Element:

@@ -205,7 +205,7 @@ class TestIntegerRepresentation:
     @given(st.sampled_from([f for f in FIELDS if f.d is not None and f.d % 4 == 1]),
            st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30), st.integers(0, 64))
     def test_half_integer_power_is_repeated_multiplication(self, field, u, w, half_den, k):
-        # (u + w*sqrt(d))/den, u and w odd, den even, d = 1 mod 4: __pow__ halves each product
+        # (u + w*sqrt(d))/den, u and w odd, den even, d = 1 mod 4: the pair carries 2**k until _make
         a = Element(field, Fraction(2 * u + 1, 2 * half_den), Fraction(2 * w + 1, 2 * half_den))
         assert a.den % 2 == 0 and a.u % 2 == a.w % 2 == 1
         want = Element(field, 1)
