@@ -29,8 +29,11 @@ from building an exact power of about l times its size, and every returned
 root is verified by exact exponentiation.
 A rational c needs no lift: its roots are rational or rational multiples of
 sqrt(d) at l = 2, and its rational l-th root times mu_l(K) at odd l.
-Norm tests (lth_roots, decompose's depth-0 return) go through norm_roots, which
-reads N(c) from the ints (u, w, den), as the halving-flag pretest in cyclo does.
+decompose first looks its input up in the residue table of l (_residue_table): the
+numerator and denominator of N(a) in lowest terms, or over Q of |a|, and a miss
+returns depth 0 with no root taken.  Inputs that pass, and lth_roots, take the exact
+norm test, norm_roots, which reads N(c) from the ints (u, w, den), as the
+halving-flag pretest in cyclo does.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .field import (DomainError, Element, FieldSpec, InvariantError, _int_nth_root, _make, _mul,
                     _new, _nth_roots, _pow, valuation)
@@ -58,6 +61,7 @@ _ODD_PRIMES = (
     809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929,
     937, 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013, 1019, 1021)
 _FILTER_PRIME = 2 ** 61 - 1  # the modulus of lth_roots' pre-filter
+_TABLE_BYTES = 1 << 14  # the largest modulus, so size, of a residue table
 
 
 @lru_cache(maxsize=256)
@@ -96,6 +100,53 @@ def roots_of_unity(field: FieldSpec, ell: int) -> list[Element]:
 def norm_roots(c: Element, ell: int) -> tuple[tuple[int, int], ...]:
     """The rational l-th roots of N(c) = (u**2 - d*w**2) / den**2, as (num, den) pairs."""
     return _nth_roots(c.u * c.u - (c.field.d or 0) * c.w * c.w, c.den * c.den, ell)
+
+
+def _power_residues(q: int, ell: int) -> set[int]:
+    """The residues of the l-th powers mod q, for q <= 16 at l = 2 and else a prime
+    q = 1 (mod l), whose nonzero l-th powers are the cyclic subgroup of order (q - 1)/l of
+    (Z/q)^*: the powers of x**l for the first x whose l-th power has that order."""
+    if ell == 2:
+        return {x * x % q for x in range(q)}
+    for x in count(2):
+        h = y = pow(x, ell, q)
+        found = {0, 1}
+        while y != 1:
+            found.add(y)
+            y = y * h % q
+        if len(found) == (q - 1) // ell + 1:
+            return found
+
+
+@lru_cache(maxsize=64)
+def _residue_table(ell: int) -> tuple[bytes, int] | None:
+    """(t, m) with t[n % m] == 0 only when the integer n is no l-th power; None when no
+    modulus fits in _TABLE_BYTES, and the exact test alone decides.
+
+    m = 5040 = 16*9*5*7 at l = 2, where 192 residues (3.8%) pass.  At odd l, m is the
+    product of the least primes q = 1 (mod l) that keep m within the cap; (q - 1)/l + 1
+    of the q residues pass at each.  The passing residues mod m are built by the Chinese
+    remainder theorem, one modulus at a time, so the build never loops over all of m.
+    """
+    if ell == 2:
+        moduli = [16, 9, 5, 7]
+    else:
+        moduli, q = [], 2 * ell + 1
+        while q * prod(moduli) <= _TABLE_BYTES:
+            if all(q % p for p in range(3, isqrt(q) + 1, 2)):
+                moduli.append(q)
+            q += 2 * ell
+    if not moduli:
+        return None
+    passing, m = [0], 1
+    for q in moduli:  # r mod m and s mod q give r + m*k mod m*q, with k = (s - r)/m mod q
+        inv, residues = pow(m, -1, q), _power_residues(q, ell)
+        passing = [r + m * ((s - r) * inv % q) for r in passing for s in residues]
+        m *= q
+    t = bytearray(m)
+    for r in passing:
+        t[r] = 1
+    return bytes(t), m
 
 
 def _lift(c: Element, ell: int, scale: int) -> tuple[int, int] | None:
@@ -240,8 +291,11 @@ class Decomposition(namedtuple("Decomposition", "ell case depth base unit unit_l
 _shapes = lru_cache(4096)(lambda ell, case, d, r: Decomposition(ell, case, d, None, None, r))
 
 
+_one = lru_cache(256)(lambda field: _new(field, 1, 0, 1))  # the unit 1 of each field
+
+
 def _round_trip(dec: Decomposition, a: Element) -> Decomposition:
-    if dec.recompose() != a:
+    if (back := dec.recompose()) is not a and back != a:  # a**1 is a itself
         raise InvariantError(f"decomposition round-trip failed for {a}")
     return dec
 
@@ -250,25 +304,39 @@ def decompose(a: Element, ell: int) -> Decomposition:
     """Maximal-depth power-times-unit normal form of a.
 
     Every unit xi has norm 1, so each a/xi has norm N(a), and none has an
-    l-th root unless N(a) is an l-th power in Q (norm_roots).  When it is
-    not, the depth is 0, the unit 1 wins by order and a is its only
-    candidate, so decompose returns a = a**1 * 1 at once.  Otherwise it
-    searches depth upward, carrying for each unit xi the full set of
-    ell**depth-th roots of a/xi (breadth-first over lth_roots); every root of
-    unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so a/xi is
-    a * conjugate(xi).  Feasibility is downward closed, so the first empty
-    level is conclusive.  Over Q the norm test cuts no deeper search:
-    N(a) = a**2 is a square, and at odd l (where mu_l(Q) = {1}) an l-th power
-    only when a is.  Among units reaching the maximal depth the one of
-    minimal multiplicative order wins (canonical order breaks ties), which
-    absorbs absorbable units into the base; the base itself is the largest
-    root by (x, y), compared as integers over one denominator, so output is
-    deterministic.  Either way the normal form is checked to recompose to a.
+    l-th root unless N(a) is an l-th power in Q.  Over Q, where N(a) = a**2
+    says nothing at l = 2, the units are +-1, and some +-a is an l-th power
+    only when |a| is.  So the numerator and denominator of N(a) in lowest
+    terms, or over Q of |a|, are first looked up in the residue table of l,
+    which rejects almost every non-power (all but 3.8% of the residues mod
+    5040 at l = 2), and then N(a) is tested exactly (norm_roots).  When
+    either rules a power out, the depth is 0, the unit 1 wins by order and a
+    is its only candidate, so decompose returns a = a**1 * 1 at once.
+    Otherwise it searches depth upward, carrying for each unit xi the full
+    set of ell**depth-th roots of a/xi (breadth-first over lth_roots); every
+    root of unity of Q or of a quadratic field has xi * conjugate(xi) = 1, so
+    a/xi is a * conjugate(xi).  Feasibility is downward closed, so the first
+    empty level is conclusive.  Among units reaching the maximal depth the
+    one of minimal multiplicative order wins (canonical order breaks ties),
+    which absorbs absorbable units into the base; the base itself is the
+    largest root by (x, y), compared as integers over one denominator, so
+    output is deterministic.  Either way the normal form is checked to
+    recompose to a.
     """
     if a.is_zero:
         raise DomainError("cannot decompose zero")
-    if not norm_roots(a, ell):  # so a is no root of unity either: those have norm 1
-        return _round_trip(Decomposition(ell, _POWER, 0, a, _new(a.field, 1, 0, 1), 0), a)
+    table, d, no_root = _residue_table(ell), a.field.d, False
+    if table:
+        t, m = table
+        if d is None:  # +-a, read as |u| over den
+            n, e = abs(a.u), a.den
+        else:  # N(a) in lowest terms
+            n, e = a.u * a.u - d * a.w * a.w, a.den * a.den
+            g = gcd(n, e)
+            n, e = n // g, e // g
+        no_root = not (t[n % m] and t[e % m])
+    if no_root or not norm_roots(a, ell):  # roots of unity pass: norm 1, over Q |u| = den = 1
+        return _round_trip(Decomposition(ell, _POWER, 0, a, _one(a.field), 0), a)
     if is_root_of_unity(a):
         return Decomposition(ell, _ROOT_OF_UNITY, 0, None, a, 0)
     mu = roots_of_unity(a.field, ell)

@@ -31,12 +31,14 @@ from ordens import (
 )
 from ordens.density import _closed
 from ordens.field import valuation
-from ordens.roots import norm_roots, unit_orders
+from ordens.roots import _residue_table, norm_roots, unit_orders
 
 GAUSS = FieldSpec(-1)
 EISEN = FieldSpec(-3)
 RT2 = FieldSpec(2)
 RT3 = FieldSpec(3)
+# Q in about half the draws, since its depth-0 exit reads |a| rather than N(a)
+FIELDS_HALF_Q = st.just(QQ) | st.sampled_from([f for f in FIELDS if not f.is_rational])
 
 
 def is_strongly_indivisible(a, ell):
@@ -279,25 +281,68 @@ def _is_rational_power(q, ell):
             and round(den ** (1 / ell)) ** ell == den)
 
 
-@pytest.mark.parametrize("field", [GAUSS, EISEN, RT2, RT3, FieldSpec(-7), FieldSpec(17)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GAUSS, EISEN, RT2, RT3, FieldSpec(-7), FieldSpec(17)],
+                         ids=str)
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_depth_zero_returns_at_the_norm_test(field, ell, monkeypatch):
     """When N(a) is not an l-th power in Q, decompose returns a = a**1 * 1 without
-    taking a root or listing a unit, and still checks the round trip."""
+    taking a root or listing a unit, and still checks the round trip.  Over Q, where
+    N(a) = a**2, it returns so when the residue table rejects |a|: here for every
+    non-power of the grid, whose numerators are at most 30 and denominators at most 7."""
     def boom(*args):
         raise AssertionError("the depth-0 return searches nothing")
 
     monkeypatch.setattr(roots, "lth_roots", boom)
     monkeypatch.setattr(roots, "roots_of_unity", boom)
-    grid = [Fraction(n, m) for n in range(-6, 7) for m in (1, 2, 5)]
-    inputs = [elem(field, x, y) for x in grid[::3] for y in grid[1::4] if x or y]
-    inputs = [a for a in inputs if not _is_rational_power(a.x ** 2 - field.d * a.y ** 2, ell)]
+    if field.is_rational:
+        grid = {Fraction(n, m) for n in range(-30, 31) for m in (1, 2, 3, 5, 7) if n}
+        inputs = [elem(field, x) for x in sorted(grid) if not _is_rational_power(abs(x), ell)]
+    else:
+        grid = [Fraction(n, m) for n in range(-6, 7) for m in (1, 2, 5)]
+        inputs = [elem(field, x, y) for x in grid[::3] for y in grid[1::4] if x or y]
+        inputs = [a for a in inputs if not _is_rational_power(a.x ** 2 - field.d * a.y ** 2, ell)]
     assert len(inputs) > 50
     for a in inputs:
         assert decompose(a, ell) == Decomposition(ell, Case.POWER, 0, a, Element(field, 1), 0)
     monkeypatch.setattr(Decomposition, "recompose", lambda dec: Element(field, 1))
     with pytest.raises(InvariantError):
         decompose(inputs[0], ell)
+
+
+_TABLE_ELLS = [2, 3, 5, 7, 67, 1021]
+_UNTABLED_ELL = 8191  # its one candidate q = 2*l + 1 below 16384 is 3 * 43 * 127
+
+
+def test_residue_tables_pass_exactly_the_lth_powers():
+    """Each table passes the l-th powers mod its m and nothing else, 0 and the powers of
+    negative bases included, in at most 16 KB; an l with no prime q = 1 (mod l) below
+    that cap has no table, and decompose decides its depth by the exact test."""
+    for ell in _TABLE_ELLS:
+        t, m = _residue_table(ell)
+        assert len(t) == m <= 1 << 14
+        assert {r for r in range(m) if t[r]} == {pow(x, ell, m) for x in range(m)}
+    assert _residue_table(_UNTABLED_ELL) is None
+    three = Element(QQ, 3)
+    assert decompose(three ** _UNTABLED_ELL, _UNTABLED_ELL).depth == 1
+    assert decompose(three, _UNTABLED_ELL).depth == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_TABLE_ELLS + [_UNTABLED_ELL]), st.data())
+def test_residue_table_never_rejects_an_lth_power(ell, data):
+    """No l-th power x**l fails its table, and over Q every (x/y)**l other than 0 and
+    +-1 gets depth >= 1.  x runs over 0, negative bases (which stay negative at odd l)
+    and bases whose l-th powers have thousands of bits."""
+    top = 2 ** max(2, 6000 // ell)
+    x = data.draw(st.sampled_from([0, -1, -2, -3]) | st.integers(-top, top))
+    y = data.draw(st.integers(1, top))
+    table = _residue_table(ell)
+    if table:
+        t, m = table
+        assert t[x ** ell % m] and t[y ** ell % m]
+    b = Fraction(x, y)
+    if b not in (0, 1, -1):
+        assert decompose(Element(QQ, b) ** ell, ell).depth >= 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -322,18 +367,19 @@ def test_dividing_by_a_root_of_unity_multiplies_by_its_conjugate(field, x, y):
         assert a * xi.conjugate() == a / xi
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([f for f in FIELDS if not f.is_rational]), st.sampled_from([2, 3, 5, 7]),
-       st.integers(0, 1), st.booleans(), st.data())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(FIELDS_HALF_Q, st.sampled_from([2, 3, 5, 7]), st.integers(0, 1), st.booleans(), st.data())
 def test_depth_zero_exactly_when_no_unit_twist_has_a_root(field, ell, k, twist, data):
-    """decompose's norm pretest agrees with the full search over every l-power unit.
+    """decompose's residue and norm pretests agree with the full search over every
+    l-power unit.
 
     Inputs are b**(l**k) * xi, times c/conjugate(c) (norm 1, rarely an l-th power)
-    when twist is set, so the pretest passes on inputs of depth 0 as well.
+    when twist is set, so the pretest passes on inputs of depth 0 as well.  Over Q,
+    c/conjugate(c) = 1, and b and xi = +-1 have y = 0.
     """
     def draw_element():
-        return Element(field, data.draw(st.fractions(-30, 30, max_denominator=9)),
-                       data.draw(st.fractions(-30, 30, max_denominator=9)))
+        x, y = (data.draw(st.fractions(-30, 30, max_denominator=9)) for _ in range(2))
+        return Element(field, x, 0 if field.is_rational else y)
 
     a = draw_element() ** (ell ** k) * data.draw(st.sampled_from(list(unit_orders(field))))
     if twist:
@@ -365,16 +411,17 @@ def full_search(a, ell):
                          valuation(orders[xi], ell))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([f for f in FIELDS if not f.is_rational]), st.sampled_from([2, 3, 5, 7]),
-       st.sampled_from(["random", "twist", "power"]), st.data())
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(FIELDS_HALF_Q, st.sampled_from([2, 3, 5, 7]), st.sampled_from(["random", "twist", "power"]),
+       st.data())
 def test_depth_zero_path_returns_the_full_search_normal_form(field, ell, kind, data):
-    """decompose equals the reference search on random elements (the norm pretest fails
-    for almost all, so only xi = 1 is searched), on b**l * c/conjugate(c) (norm N(b)**l,
-    so the pretest passes, and the depth is almost always 0), and on b**l * xi (depth >= 1)."""
+    """decompose equals the reference search on random elements (the pretests fail for
+    almost all, so nothing is searched), on b**l * c/conjugate(c) (norm N(b)**l, so the
+    norm pretest passes, and the depth is almost always 0; over Q this is b**l), and on
+    b**l * xi (depth >= 1).  Over Q the residue table reads |a|, since N(a) = a**2."""
     def draw_element():
-        return Element(field, data.draw(st.fractions(-30, 30, max_denominator=9)),
-                       data.draw(st.fractions(-30, 30, max_denominator=9)))
+        x, y = (data.draw(st.fractions(-30, 30, max_denominator=9)) for _ in range(2))
+        return Element(field, x, 0 if field.is_rational else y)
 
     a = draw_element()
     if kind == "twist":
